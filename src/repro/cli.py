@@ -365,11 +365,12 @@ def _save_history(args: argparse.Namespace, history_of) -> None:
 def _report_process_mode(manager: object) -> None:
     """Tell the operator whether --process-shards actually forked."""
     degraded = getattr(manager, "process_degraded", None)
+    pids = getattr(manager, "worker_pids", tuple)()
     if degraded is not None:
         print(f"process sharding degraded to threads ({degraded})")
-    elif hasattr(manager, "worker_pids"):
-        pids = ", ".join(str(pid) for pid in manager.worker_pids())
-        print(f"process sharding active (worker pids: {pids})")
+    elif pids:
+        listing = ", ".join(str(pid) for pid in pids)
+        print(f"process sharding active (worker pids: {listing})")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -203,7 +203,6 @@ def validate_protocol_options(
     wait_policy: str = "wait",
     shards: int = 1,
     processes: bool = False,
-    shard_rpc: str = "fast",
 ) -> ProtocolSpec:
     """Check one protocol/options combination; all entry points call this.
 
@@ -262,12 +261,6 @@ def validate_protocol_options(
             "combinations are snapshot_cache=True with thread sharding "
             "(processes=False) or process sharding without the cache"
         )
-    if shard_rpc not in ("fast", "legacy"):
-        raise SpecificationError(
-            f"unknown shard_rpc mode {shard_rpc!r}: valid values are "
-            "'fast' (delta sync + batching + binary frames, the default) "
-            "and 'legacy' (per-op full-dump pickle channel)"
-        )
     return spec
 
 
@@ -283,7 +276,6 @@ def create_engine(
     timestamps: TimestampGenerator | None = None,
     shards: int = 1,
     processes: bool | str = False,
-    shard_rpc: str = "fast",
     record_history: bool = False,
 ) -> Engine:
     """Build the engine for ``protocol`` — the one factory every host uses.
@@ -294,21 +286,13 @@ def create_engine(
     the bare manager is returned unchanged (no wrapper, no locks).
 
     With ``processes`` truthy (and ``shards > 1``) each shard's engine
-    runs in its own worker **process** behind a
-    :class:`~repro.engine.procshard.ProcessShardedEngine`, escaping the
+    runs in its own worker **process** (the composite's other shard
+    backend, :class:`~repro.engine.procshard.WorkerShard`), escaping the
     GIL on multi-core hosts.  ``processes=True`` degrades gracefully to
-    the thread-based composite when real processes cannot help (single
-    core) or cannot fork — the returned engine then carries the reason
-    in a ``process_degraded`` attribute.  ``processes="force"`` skips
-    the single-core degradation (tests, CI smoke on small containers).
-
-    ``shard_rpc`` selects the parent↔worker channel wire mode of the
-    process-sharded engine: ``"fast"`` (default — delta account sync,
-    op batching and struct-packed binary frames) or ``"legacy"`` (the
-    original per-op full-dump pickle channel, kept as a measurable
-    baseline for ``bench-hotpath``'s ``procshard_rpc`` microbench).
-    The option is validated everywhere but only affects engines that
-    actually run worker processes.
+    thread shards when real processes cannot help (single core) or
+    cannot fork — the returned engine then carries the reason in its
+    ``process_degraded`` attribute.  ``processes="force"`` skips the
+    single-core degradation (tests, CI smoke on small containers).
     """
     spec = validate_protocol_options(
         protocol,
@@ -316,35 +300,22 @@ def create_engine(
         wait_policy=wait_policy,
         shards=shards,
         processes=bool(processes),
-        shard_rpc=shard_rpc,
     )
-    if shards > 1 and processes:
-        from repro.engine.procshard import (
-            ProcessShardedEngine,
-            process_sharding_unavailable,
-        )
+    if shards > 1:
         from repro.engine.sharded import ShardedEngine
 
-        reason = process_sharding_unavailable()
-        if processes == "force" and reason == "single-core":
-            reason = None
-        if reason is None:
-            return ProcessShardedEngine(
-                database,
-                protocol,
-                shards=shards,
-                distance=distance,
-                export_policy=export_policy,
-                wait_policy=wait_policy,
-                metrics=metrics,
-                timestamps=timestamps,
-                shard_rpc=shard_rpc,
-                record_history=record_history,
-            )
+        degraded = None
+        if processes:
+            from repro.engine.procshard import process_sharding_unavailable
+
+            degraded = process_sharding_unavailable()
+            if processes == "force" and degraded == "single-core":
+                degraded = None
         engine = ShardedEngine(
             database,
             protocol,
             shards=shards,
+            processes=bool(processes) and degraded is None,
             distance=distance,
             export_policy=export_policy,
             wait_policy=wait_policy,
@@ -353,23 +324,8 @@ def create_engine(
             timestamps=timestamps,
             record_history=record_history,
         )
-        engine.process_degraded = reason
+        engine.process_degraded = degraded
         return engine
-    if shards > 1:
-        from repro.engine.sharded import ShardedEngine
-
-        return ShardedEngine(
-            database,
-            protocol,
-            shards=shards,
-            distance=distance,
-            export_policy=export_policy,
-            wait_policy=wait_policy,
-            snapshot_cache=snapshot_cache,
-            metrics=metrics,
-            timestamps=timestamps,
-            record_history=record_history,
-        )
     return build_unsharded(
         database,
         spec,

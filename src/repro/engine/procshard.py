@@ -1,40 +1,42 @@
-"""Process-sharded composite engine: one worker process per shard.
+"""The worker-process shard transport: one forked engine per shard.
 
-:class:`ProcessShardedEngine` is the multi-core sibling of
-:class:`~repro.engine.sharded.ShardedEngine`.  The thread-based composite
+The thread backend of :class:`~repro.engine.sharded.ShardedEngine`
 partitions work but not the GIL — its shard threads serialise on the
-interpreter lock, so BENCH_net's ``speedup_sharded`` sits *below* 1 on
-CPU-bound write loads.  This engine moves each shard's inner engine into
-its own **process**, connected to the parent by a framed RPC over a
-``socketpair``, so shards genuinely execute in parallel while the parent
-keeps presenting the ordinary :class:`~repro.engine.api.Engine` surface
-to every host (threaded server, asyncio server, DES, CLI, bench-net).
+interpreter lock.  :class:`WorkerShard` is the composite's other
+backend: the same four-call shard seam (``operate`` / ``complete`` /
+``wait_edge`` / ``close``), with the shard's inner engine living in its
+own **process** behind a framed RPC over a ``socketpair``.  Everything
+per-transaction that exists once — ids, timestamps, the accounts, the
+commit decision, waits, failover — stays in the composite; this module
+holds only what it takes to run one shard's engine somewhere else.
 
-**The cross-process commit protocol.**  The thread-based composite makes
-TIL/TEL/GIL accounting atomic across shards by installing one lock per
-transaction on its :class:`~repro.core.accounting.InconsistencyAccount`.
-A lock cannot span processes, but it also is not needed: every engine
-decision charges only the *operating* transaction's own account, and one
-transaction's operations are serialised by its client connection (the
-threaded server runs a connection on one handler thread; the asyncio
-server pins a connection to one dispatch lane).  So the account state
-can travel with the operation.  The original channel shipped the *full*
-canonical account dump both ways on every op; the current fast path
-(``shard_rpc="fast"``, the default) replaces that with three layers:
+**Why the accounts can travel.**  The thread backend makes TIL/TEL/GIL
+accounting atomic across shards with one lock per transaction on its
+:class:`~repro.core.accounting.InconsistencyAccount`.  A lock cannot
+span processes, but it is not needed: every engine decision charges only
+the *operating* transaction's own account, and one transaction's
+operations are serialised by its client connection (the threaded server
+runs a connection on one handler thread; the asyncio server pins a
+connection to one dispatch lane).  So the canonical accounts stay in the
+parent, on the global transaction, and a copy rides along with each
+operation in three layers:
 
 1. **Delta account sync.**  The parent versions each transaction's
    canonical account state and remembers which version every shard
-   worker last acknowledged.  An op frame then carries one of three sync
-   shapes: *none* (the worker already holds the current version — the
-   common case, since a consistent operation charges nothing), *delta*
-   (only the ledger levels, per-object charges and value ranges that
-   changed since the worker's version; account state is monotone so a
-   delta is just the changed entries), or *full* (first touch of a
-   shard, or the resync fallback).  The worker checks the base version
-   on every frame; on a mismatch it answers ``resync`` *without
-   executing* and the parent re-sends the op with a full dump.  Reply
-   state rides the same scheme: the worker diffs its sibling's account
-   around the engine call and returns only the delta (or nothing).
+   worker last acknowledged (:class:`_TxnSync`).  An op frame then
+   carries one of three sync shapes: *none* (the worker already holds
+   the current version — the common case, since a consistent operation
+   charges nothing), *delta* (only the ledger levels, per-object charges
+   and value ranges that changed since the worker's version; account
+   state is monotone so a delta is just the changed entries), or *full*
+   (first touch of a shard, or the resync fallback).  The worker checks
+   the base version on every frame; on a mismatch it answers ``resync``
+   *without executing* and the parent re-sends the op with a full dump.
+   Reply state rides the same scheme: the worker diffs its sibling's
+   account around the engine call and returns only the delta (or
+   nothing).  Charges an in-process shard made directly on the canonical
+   accounts (a failed-over neighbour) are picked up by the accounts' own
+   change tracking and folded in as one more delta.
 2. **Op batching.**  :class:`_WorkerChannel` is a flat-combining point:
    concurrent callers append their op to a pending queue, and whichever
    caller takes the channel lock first becomes the leader, draining
@@ -54,51 +56,37 @@ canonical account dump both ways on every op; the current fast path
    :class:`~repro.errors.ShardChannelError` rather than bare
    struct/pickle errors.
 
-``shard_rpc="legacy"`` keeps the original per-op full-dump pickle
-channel alive for comparison; ``bench-hotpath``'s ``procshard_rpc``
-microbench measures both (ops/s, bytes/op, batch occupancy).
-
-Commit/abort is decided once by the parent and fanned out as complete
-items (which ride the same batch frames); each worker applies the usual
-``complete`` hook and a commit reply carries the ``{object_id: (value,
-write_ts)}`` pairs the promotion produced, which the parent adopts into
-its mirror database (reports, tests and failover all read coherent
-committed state there).
+Complete items ride the same batch frames as ops; each worker applies
+the usual ``complete`` hook and a commit reply carries the ``{object_id:
+(value, write_ts)}`` pairs the promotion produced, which
+:meth:`WorkerShard.complete` adopts into the parent's objects (reports,
+tests and failover all read coherent committed state there).
 
 **Waits and deadlock edges.**  Workers never park anything: ``MustWait``
-propagates to the parent and hosts subscribe against the parent's shared
-registry exactly as with the thread-based composite.  When a waiter
-parks, the parent broadcasts the wait-for edge (a struct-packed note
-frame) to every worker, and completion broadcasts a wakeup — the workers
-mirror the edges into their local registries so the 2PL engines'
-deadlock walk sees cross-shard cycles.  The same residual caveat as the
-thread composite applies (two simultaneous parkers can slip past the
-check), which is why the servers keep their ``wait_timeout`` guard.
+propagates to the parent and hosts subscribe against the composite's
+registry.  ``wait_edge`` posts each parked edge and each completion as a
+struct-packed note frame, which the worker mirrors into a local registry
+so the 2PL engines' deadlock walk sees cross-shard cycles.
 
 **Metrics.**  Worker engines record into throwaway local collectors;
-the parent reconstructs every counter from the outcomes it relays
-(granted read/write with the ESR case, wait, rejection, abort, commit
-with the synced imported/exported totals), so the composite's snapshot
-matches a bare manager's on the same trace.  Worker-side
-:mod:`repro.perf` counters stay in the worker and are not aggregated;
-the parent's ``rpc_*`` counters meter the channel itself.
+:class:`WorkerShard` re-records every outcome it relays (granted
+read/write with the ESR case, wait, rejection and its abort) through
+the composite's recorder, so histories and snapshots match a bare
+manager's on the same trace.  Worker-side :mod:`repro.perf` counters
+stay in the worker and are not aggregated; the parent's ``rpc_*``
+counters meter the channel itself.
 
-**Degradation and failure.**  ``create_engine(..., processes=True)``
-falls back to the thread-based composite (tagging it with
-``process_degraded``) when the host has one core or no ``fork`` start
-method; ``processes="force"`` insists on real processes regardless of
-core count (tests, CI).  If a worker dies mid-run the parent rebuilds
-that shard in-process over the mirror database, aborts every transaction
-whose staged state died with the worker (reason ``"shard-failover"``),
-and keeps serving — a benchmark degrades instead of hanging.  Staged
-writes, read-timestamp metadata and version history accumulated inside
-the dead worker are lost; committed state survives via the mirror.
+**Loss.**  A dead worker (EOF, a torn frame, a refused resync) and a
+worker that raised while applying a completion both surface as
+:class:`~repro.errors.ShardChannelError`; the composite answers by
+swapping the slot's backend for an in-process shard.
 
-Construction forks the workers, so build the engine before starting
-server threads (both servers construct their engine before binding).
-The snapshot read cache is not supported in process mode — the cache
-publishes from inside the engine critical section, which now lives in
-another process — and ``validate_protocol_options`` rejects the combination.
+Forking happens in :func:`fork_shards`, so build the engine before
+starting server threads (both servers construct their engine before
+binding).  The snapshot read cache is not supported on worker shards —
+the cache publishes from inside the engine critical section, which now
+lives in another process — and ``validate_protocol_options`` rejects the
+combination.
 """
 
 from __future__ import annotations
@@ -109,26 +97,13 @@ import pickle
 import socket
 import struct
 import threading
-import time
 import weakref
 from collections import deque
-from typing import Callable, Mapping
 
-from repro.core.bounds import EpsilonLevel, TransactionBounds
-from repro.core.hierarchy import ROOT_GROUP
-from repro.core.metric import DistanceFunction, absolute_distance
-from repro.engine.api import (
-    build_unsharded,
-    protocol_spec,
-    validate_protocol_options,
-)
+from repro.core.metric import DistanceFunction
+from repro.engine.api import build_unsharded, protocol_spec
 from repro.engine.database import Database
-from repro.engine.history import HistoryRecorder
-from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import (
-    REASON_CLIENT_ABORT,
-    REASON_SHARD_FAILOVER,
-)
+from repro.engine.history import HistoryRecorder, _declared_group_limits
 from repro.engine.results import (
     CASE_LATE_READ,
     CASE_LATE_WRITE,
@@ -139,35 +114,17 @@ from repro.engine.results import (
     Rejected,
 )
 from repro.engine.scheduler import WaitRegistry
-from repro.engine.sharded import (
-    _SELF_FIRE_BACKOFF_CAP,
-    _SELF_FIRE_BACKOFF_INITIAL,
-    _LockedMetrics,
-    _SharedWaitRegistry,
-    absorb_granted,
-)
-from repro.engine.timestamps import Timestamp, TimestampGenerator
+from repro.engine.timestamps import Timestamp
 from repro.engine.transactions import (
     TransactionKind,
     TransactionState,
     TransactionStatus,
 )
-from repro.errors import InvalidOperation, ProtocolError, ShardChannelError
+from repro.errors import ProtocolError, ShardChannelError
 from repro.net.protocol import MAX_FRAME_BYTES
 from repro.perf import counters as _perf
 
-__all__ = [
-    "ProcessShardedEngine",
-    "process_sharding_unavailable",
-    "REASON_SHARD_FAILOVER",
-    "SHARD_RPC_MODES",
-]
-
-#: The shard-channel wire modes ``create_engine(..., shard_rpc=...)``
-#: accepts: ``"fast"`` (delta sync + batching + binary frames) and
-#: ``"legacy"`` (the original per-op full-dump pickle channel, kept so
-#: the fast path has a measurable baseline).
-SHARD_RPC_MODES = ("fast", "legacy")
+__all__ = ["WorkerShard", "fork_shards", "process_sharding_unavailable"]
 
 # -- wire format ---------------------------------------------------------------
 #
@@ -193,7 +150,6 @@ _FT_BATCH = 0x01  # parent -> worker: op/complete items
 _FT_BATCH_REPLY = 0x02  # worker -> parent: one reply per item
 _FT_NOTE = 0x03  # parent -> worker: wait_note / wakeup / shutdown
 _FT_ERROR = 0x04  # worker -> parent: typed refusal (frame not executed)
-_FT_PICKLE = 0x0F  # the tagged pickle long tail (legacy rpc mode)
 
 _NOTE_WAIT = 0
 _NOTE_WAKEUP = 1
@@ -569,10 +525,11 @@ def _build_sibling(
     return sibling
 
 
-def _sibling_has_import(sibling: TransactionState) -> bool:
+def _has_import(txn: TransactionState) -> bool:
+    """Whether ``txn`` carries an import account separate from its own."""
     return (
-        sibling.import_account is not None
-        and sibling.import_account is not sibling.account
+        txn.import_account is not None
+        and txn.import_account is not txn.account
     )
 
 
@@ -582,7 +539,7 @@ def _handle_op_item(
     versions: dict[int, int],
     item: tuple,
 ) -> tuple:
-    """One fast-path op: sync in, run the engine decision, delta out."""
+    """One op: sync in, run the engine decision, delta out."""
     _, txn_id, opcode, object_id, value, descriptor, sync_in = item
     sibling = siblings.get(txn_id)
     if sibling is None:
@@ -591,7 +548,7 @@ def _handle_op_item(
             # of this shard was dropped); ask for a full re-send.
             return ("resync", versions.get(txn_id))
         sibling = _build_sibling(engine, descriptor, siblings)
-    has_import = _sibling_has_import(sibling)
+    has_import = _has_import(sibling)
     tag = sync_in[0]
     held = versions.get(txn_id)
     if tag == "none":
@@ -633,26 +590,6 @@ def _handle_op_item(
     return ("ok", outcome, sync_out)
 
 
-def _handle_legacy_op(engine, siblings: dict[int, TransactionState], payload):
-    """The original channel: full account dumps both ways, every op."""
-    txn_id, descriptor, op, object_id, value, account_state, import_state = (
-        payload
-    )
-    sibling = siblings.get(txn_id)
-    if sibling is None:
-        sibling = _build_sibling(engine, descriptor, siblings)
-    sibling.account.load_state(account_state)
-    has_import = _sibling_has_import(sibling)
-    if import_state is not None and has_import:
-        sibling.import_account.load_state(import_state)
-    if op == "read":
-        outcome = engine.read(sibling, object_id)
-    else:
-        outcome = engine.write(sibling, object_id, value)
-    if not sibling.is_active:
-        siblings.pop(txn_id, None)
-    import_dump = sibling.import_account.dump_state() if has_import else None
-    return (outcome, sibling.account.dump_state(), import_dump)
 
 
 def _handle_complete(
@@ -788,59 +725,6 @@ def _worker_main(
                 elif sub == _NOTE_WAKEUP:
                     engine.waits.fire(a)
                 else:
-                    return
-            elif ftype == _FT_PICKLE:
-                try:
-                    frame = pickle.loads(payload)
-                except Exception as exc:
-                    _send_frame(
-                        sock,
-                        _FT_ERROR,
-                        pickle.dumps(
-                            ProtocolError(f"undecodable pickle frame: {exc}"),
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        ),
-                    )
-                    continue
-                kind = frame[0]
-                if kind == "op":
-                    try:
-                        reply = (
-                            "ok",
-                            _handle_legacy_op(engine, siblings, frame[1]),
-                        )
-                    except Exception as exc:
-                        reply = ("err", exc)
-                    _send_frame(
-                        sock,
-                        _FT_PICKLE,
-                        pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                elif kind == "complete":
-                    try:
-                        reply = (
-                            "ok",
-                            _handle_complete(
-                                engine,
-                                siblings,
-                                versions,
-                                frame[1],
-                                frame[2],
-                                frame[3],
-                            ),
-                        )
-                    except Exception as exc:
-                        reply = ("err", exc)
-                    _send_frame(
-                        sock,
-                        _FT_PICKLE,
-                        pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL),
-                    )
-                elif kind == "wait_note":
-                    engine.waits.note(frame[1], frame[2])
-                elif kind == "wakeup":
-                    engine.waits.fire(frame[1])
-                elif kind == "shutdown":
                     return
             else:
                 _send_frame(
@@ -990,33 +874,6 @@ class _WorkerChannel:
             call.reply = reply
             call.event.set()
 
-    def request_legacy(self, frame: object):
-        """The original per-op pickle round-trip (``shard_rpc="legacy"``)."""
-        with self.lock:
-            if self.closed:
-                raise EOFError("shard channel closed")
-            _send_frame(
-                self.sock,
-                _FT_PICKLE,
-                pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-            ftype, payload = _recv_typed(self.sock, shard=self.shard, pending=1)
-            if ftype == _FT_ERROR:
-                raise pickle.loads(payload)
-            if ftype != _FT_PICKLE:
-                raise ShardChannelError(
-                    f"unexpected shard reply frame type {ftype}", self.shard, 1
-                )
-            try:
-                reply = pickle.loads(payload)
-            except Exception as exc:
-                raise ShardChannelError(
-                    f"undecodable legacy reply: {exc}", self.shard, 1
-                ) from exc
-            _perf.rpc_ops += 1
-            _perf.rpc_round_trips += 1
-            return reply
-
     def post_note(self, sub: int, a: int = 0, b: int = 0) -> None:
         with self.lock:
             if self.closed:
@@ -1053,84 +910,19 @@ class _WorkerChannel:
                 self.process.join(timeout)
 
 
-def _reap(channels: list[_WorkerChannel]) -> None:
-    """weakref.finalize hook: never leak worker processes."""
-    for channel in channels:
-        try:
-            channel.close(timeout=0.5)
-        except Exception:
-            pass
-
-
 def process_sharding_unavailable() -> str | None:
     """Why real process sharding would not help here, or None if it would.
 
     ``"no-fork"`` — the platform cannot fork (workers inherit their shard
     database and socket by fork; spawn cannot ship the socketpair).
     ``"single-core"`` — forking N workers onto one core only adds IPC
-    cost; the thread-based composite is the better engine there.
+    cost; thread shards are the better backend there.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         return "no-fork"
     if (os.cpu_count() or 1) <= 1:
         return "single-core"
     return None
-
-
-class _ProcessWaitRegistry(_SharedWaitRegistry):
-    """The shared parent registry plus cross-process edge mirroring."""
-
-    def __init__(
-        self,
-        is_active: Callable[[int], bool],
-        is_completing: Callable[[int], bool],
-        broadcast: Callable[[tuple], None],
-    ) -> None:
-        super().__init__(is_active, is_completing)
-        self._broadcast = broadcast
-
-    def subscribe(
-        self,
-        blocking_transaction: int,
-        callback: Callable[[], None],
-        waiter_transaction: int | None = None,
-    ) -> None:
-        parked = False
-        backoff = 0.0
-        with self._lock:
-            if self._is_active(blocking_transaction):
-                self._self_fires.pop(
-                    (waiter_transaction, blocking_transaction), None
-                )
-                WaitRegistry.subscribe(
-                    self,
-                    blocking_transaction,
-                    callback,
-                    waiter_transaction=waiter_transaction,
-                )
-                parked = True
-            elif self._is_completing(blocking_transaction):
-                key = (waiter_transaction, blocking_transaction)
-                count = self._self_fires.get(key, 0)
-                self._self_fires[key] = count + 1
-                backoff = min(
-                    _SELF_FIRE_BACKOFF_INITIAL * (2**count),
-                    _SELF_FIRE_BACKOFF_CAP,
-                )
-        if parked:
-            if waiter_transaction is not None:
-                self._broadcast(
-                    ("wait_note", waiter_transaction, blocking_transaction)
-                )
-            return
-        if backoff > 0.0:
-            time.sleep(backoff)
-        callback()
-
-    def fire(self, completed_transaction: int) -> int:
-        count = super().fire(completed_transaction)
-        self._broadcast(("wakeup", completed_transaction))
-        return count
 
 
 def _merge_delta(accumulator, delta):
@@ -1152,408 +944,177 @@ def _merge_delta(accumulator, delta):
     return accumulator
 
 
-#: Pending-delta marker: the canonical state moved in a way the parent
-#: cannot express as a delta (failed-over local op) — next op on the
-#: shard must carry a full dump.
-_PENDING_FULL = "full"
-
-
 class _TxnSync:
     """Parent-side delta-sync bookkeeping for one transaction.
 
     ``version`` counts the canonical account state's revisions (bumped
-    whenever an op's reply delta — or a failed-over local op — changes
-    it); ``shard_versions`` records the revision each worker last
-    acknowledged; ``pending`` accumulates, per lagging shard, the merged
-    deltas between that shard's revision and the current one, so its
-    next op ships exactly the missed changes (or :data:`_PENDING_FULL`
-    when the gap cannot be expressed as a delta).  A shard absent from
-    ``shard_versions`` has never been touched — its first op carries the
-    descriptor and a full dump.
+    whenever an op's reply delta — or a charge an in-process shard made
+    directly — changes it); ``shard_versions`` records the revision each
+    worker last acknowledged; ``pending`` accumulates, per lagging
+    shard, the merged deltas between that shard's revision and the
+    current one, so its next op ships exactly the missed changes.  A
+    shard absent from ``shard_versions`` has never been touched — its
+    first op carries the descriptor and a full dump.
     """
 
     __slots__ = ("descriptor", "version", "shard_versions", "pending")
 
-    def __init__(self, descriptor: dict) -> None:
-        self.descriptor = descriptor
+    def __init__(self, txn: TransactionState) -> None:
+        #: What a worker needs to build its sibling of the transaction.
+        self.descriptor = {
+            "transaction_id": txn.transaction_id,
+            "kind": txn.kind.value,
+            "timestamp": txn.timestamp,
+            "bounds": txn.bounds,
+            "group_limits": _declared_group_limits(txn),
+            "object_limits": dict(txn.object_limits) or None,
+            "allow_inconsistent_reads": txn.is_update and _has_import(txn),
+        }
         self.version = 0
         self.shard_versions: dict[int, int] = {}
-        #: shard -> [account_acc, import_acc] (each None or a 4-list)
-        #: or _PENDING_FULL.
-        self.pending: dict[int, object] = {}
+        #: shard -> [account_acc, import_acc] (each None or a 4-list).
+        self.pending: dict[int, list] = {}
+
+    def fall_behind(self, current: int | None, account_delta, import_delta):
+        """The canonical state moved by these deltas: every touched shard
+        but ``current`` is now one revision behind.  Fold the deltas into
+        each one's pending accumulator so its next op ships exactly the
+        missed changes — O(changed entries), never a dump."""
+        for shard in self.shard_versions:
+            if shard == current:
+                continue
+            entry = self.pending.get(shard)
+            if entry is None:
+                entry = self.pending[shard] = [None, None]
+            if account_delta is not None:
+                entry[0] = _merge_delta(entry[0], account_delta)
+            if import_delta is not None:
+                entry[1] = _merge_delta(entry[1], import_delta)
 
 
-class ProcessShardedEngine:
-    """N per-shard engines in worker processes behind the one
-    :class:`~repro.engine.api.Engine` interface."""
-
-    #: Hosts holding a global engine mutex may skip it for this engine —
-    #: the per-shard channel locks are the critical sections.
-    thread_safe = True
+class WorkerShard:
+    """The worker-process shard backend: a channel plus delta sync."""
 
     def __init__(
         self,
+        index: int,
+        channel: _WorkerChannel,
         database: Database,
-        protocol: str = "esr",
-        *,
-        shards: int,
-        distance: DistanceFunction = absolute_distance,
-        export_policy: str = "max",
-        wait_policy: str = "wait",
-        snapshot_cache: bool = False,
-        metrics: MetricsCollector | None = None,
-        timestamps: TimestampGenerator | None = None,
-        shard_rpc: str = "fast",
-        recorder: HistoryRecorder | None = None,
-        record_history: bool = False,
-    ):
-        self._spec = validate_protocol_options(
-            protocol,
-            snapshot_cache=snapshot_cache,
-            wait_policy=wait_policy,
-            shards=shards,
-            processes=True,
-            shard_rpc=shard_rpc,
-        )
+        recorder: HistoryRecorder,
+        sync: "weakref.WeakKeyDictionary[TransactionState, _TxnSync]",
+    ) -> None:
+        self.index = index
+        self.channel = channel
+        #: The parent's view of this shard: unknown-object checks, and
+        #: the mirror that commit replies keep current.
         self.database = database
-        self.protocol = protocol
-        self.shards = shards
-        self.wait_policy = wait_policy
-        self.export_policy = export_policy
-        self.distance = distance
-        self.shard_rpc = shard_rpc
-        if recorder is not None:
-            self.recorder = recorder
-        else:
-            self.recorder = HistoryRecorder(
-                metrics if metrics is not None else _LockedMetrics(),
-                record=record_history,
-            )
-        self.metrics = self.recorder.metrics
-        #: No snapshot cache in process mode (see module docstring).
-        self.snapshot = None
-        self._timestamps = (
-            timestamps if timestamps is not None else TimestampGenerator()
-        )
-        self._next_id = 1
-        self._txn_lock = threading.Lock()
-        self._active: dict[int, TransactionState] = {}
-        #: Global txn id -> shards it has operated on (completion fan-out).
-        self._touched: dict[int, set[int]] = {}
-        #: Global txn id -> delta-sync bookkeeping (descriptor, canonical
-        #: state version, per-shard acknowledged versions and dumps).
-        self._sync: dict[int, _TxnSync] = {}
-        #: Global txn id -> {shard: sibling} for *failed-over* (local)
-        #: shards only; healthy shards keep their siblings worker-side.
-        self._siblings: dict[int, dict[int, TransactionState]] = {}
-        self._completing: set[int] = set()
-        self.waits = _ProcessWaitRegistry(
-            self._is_globally_active, self._is_completing, self._broadcast
-        )
-        # Shard-local database views aliasing the parent's objects.  The
-        # fork below copy-on-writes them into each worker; the parent's
-        # originals stay behind as the committed-state mirror and as the
-        # substrate for in-process failover engines.
-        self._databases = [
-            Database(
-                catalog=database.catalog,
-                version_window=database.version_window,
-            )
-            for _ in range(shards)
-        ]
-        for obj in database.objects():
-            self._databases[obj.object_id % shards].adopt_object(obj)
-        #: In-process replacement engines for dead shards (None = healthy).
-        self._local: list[object | None] = [None] * shards
-        self._local_locks = [threading.Lock() for _ in range(shards)]
-        self._failover_lock = threading.RLock()
-        self._closed = False
-        context = multiprocessing.get_context("fork")
-        pairs = [socket.socketpair() for _ in range(shards)]
-        self._channels: list[_WorkerChannel] = []
-        for shard in range(shards):
-            parent_sock, child_sock = pairs[shard]
-            inherited = [
-                endpoint
-                for index, pair in enumerate(pairs)
-                if index != shard
-                for endpoint in pair
-            ]
-            process = context.Process(
-                target=_worker_main,
-                args=(
-                    child_sock,
-                    inherited,
-                    self._databases[shard],
-                    protocol,
-                    distance,
-                    export_policy,
-                    wait_policy,
-                ),
-                name=f"repro-shard-{shard}",
-                daemon=True,
-            )
-            process.start()
-            self._channels.append(_WorkerChannel(parent_sock, process, shard))
-        for _, child_sock in pairs:
-            child_sock.close()
-        self._finalizer = weakref.finalize(self, _reap, list(self._channels))
+        self.recorder = recorder
+        #: Global transaction -> its sync state, shared by every worker
+        #: shard of the engine; an entry lives as long as its transaction.
+        self.sync = sync
 
-    # -- routing ---------------------------------------------------------------
+    @property
+    def pid(self) -> int | None:
+        """The worker's process id (None once the channel is closed)."""
+        return None if self.channel.closed else self.channel.process.pid
 
-    def shard_of(self, object_id: int) -> int:
-        return object_id % self.shards
+    def _request(self, item: tuple) -> tuple:
+        try:
+            return self.channel.request(item)
+        except (OSError, EOFError) as exc:
+            raise ShardChannelError(
+                f"shard worker lost: {exc}", self.index, 1
+            ) from exc
 
-    def worker_pids(self) -> tuple[int | None, ...]:
-        """Worker process ids (None once a shard has failed over)."""
-        return tuple(
-            None
-            if channel.closed or channel.process is None
-            else channel.process.pid
-            for channel in self._channels
-        )
-
-    def failed_shards(self) -> tuple[int, ...]:
-        return tuple(
-            shard
-            for shard, local in enumerate(self._local)
-            if local is not None
-        )
-
-    def _is_globally_active(self, transaction_id: int) -> bool:
-        return transaction_id in self._active
-
-    def _is_completing(self, transaction_id: int) -> bool:
-        return transaction_id in self._completing
-
-    def _broadcast(self, frame: tuple) -> None:
-        sub = _NOTE_WAIT if frame[0] == "wait_note" else _NOTE_WAKEUP
-        a = frame[1]
-        b = frame[2] if len(frame) > 2 else 0
-        for channel in self._channels:
-            try:
-                channel.post_note(sub, a, b)
-            except OSError:
-                pass  # the op path notices the dead worker and fails over
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def begin(
-        self,
-        kind: TransactionKind | str,
-        bounds: TransactionBounds | EpsilonLevel | None = None,
-        timestamp: Timestamp | None = None,
-        group_limits: Mapping[str, float] | None = None,
-        object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
-    ) -> TransactionState:
-        if isinstance(kind, str):
-            kind = TransactionKind(kind.lower())
-        if bounds is None:
-            bounds = TransactionBounds()
-        elif isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        with self._txn_lock:
-            if timestamp is None:
-                timestamp = self._timestamps.next()
-            txn = TransactionState(
-                transaction_id=self._next_id,
-                kind=kind,
-                timestamp=timestamp,
-                bounds=bounds,
-                catalog=self.database.catalog,
-                group_limits=group_limits,
-                object_limits=object_limits,
-                allow_inconsistent_reads=allow_inconsistent_reads,
-            )
-            self._next_id += 1
-            self._register(
-                txn,
-                {
-                    "transaction_id": txn.transaction_id,
-                    "kind": kind.value,
-                    "timestamp": timestamp,
-                    "bounds": bounds,
-                    "group_limits": (
-                        dict(group_limits) if group_limits is not None else None
-                    ),
-                    "object_limits": (
-                        dict(object_limits)
-                        if object_limits is not None
-                        else None
-                    ),
-                    "allow_inconsistent_reads": allow_inconsistent_reads,
-                },
-            )
-        self.recorder.begin(txn)
-        return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction as globally active."""
-        group_limits = {
-            level: limit
-            for level, (_usage, limit) in txn.account.level_snapshot().items()
-            if level != ROOT_GROUP
-        }
-        with self._txn_lock:
-            self._register(
-                txn,
-                {
-                    "transaction_id": txn.transaction_id,
-                    "kind": txn.kind.value,
-                    "timestamp": txn.timestamp,
-                    "bounds": txn.bounds,
-                    "group_limits": group_limits or None,
-                    "object_limits": dict(txn.object_limits) or None,
-                    "allow_inconsistent_reads": (
-                        txn.is_update and txn.import_account is not None
-                    ),
-                },
-            )
-
-    def _register(self, txn: TransactionState, descriptor: dict) -> None:
-        self._active[txn.transaction_id] = txn
-        self._touched[txn.transaction_id] = set()
-        self._sync[txn.transaction_id] = _TxnSync(descriptor)
-        self._siblings[txn.transaction_id] = {}
-
-    def active_transactions(self) -> tuple[TransactionState, ...]:
-        return tuple(self._active.values())
-
-    # -- operations -------------------------------------------------------------
-
-    def read(self, txn: TransactionState, object_id: int) -> Outcome:
-        txn.require_active()
-        self.database.get(object_id)  # unknown-object parity before any RPC
-        return self._operate(txn, "read", object_id, 0.0)
-
-    def write(
-        self, txn: TransactionState, object_id: int, value: float
-    ) -> Outcome:
-        txn.require_active()
-        if not txn.is_update:
-            raise InvalidOperation(
-                f"query transaction {txn.transaction_id} cannot write",
-                txn.transaction_id,
-            )
-        self.database.get(object_id)
-        return self._operate(txn, "write", object_id, float(value))
-
-    def read_cached(
-        self, txn: TransactionState, object_id: int
-    ) -> Granted | None:
-        """No snapshot cache in process mode — always fall back."""
-        return None
-
-    @staticmethod
-    def _has_import(txn: TransactionState) -> bool:
-        return (
-            txn.import_account is not None
-            and txn.import_account is not txn.account
-        )
-
-    def _dump_accounts(
-        self, txn: TransactionState, has_import: bool
-    ) -> tuple:
-        return (
-            txn.account.dump_state(),
-            txn.import_account.dump_state() if has_import else None,
-        )
-
-    def _operate(
+    def operate(
         self, txn: TransactionState, op: str, object_id: int, value: float
     ) -> Outcome:
-        txn_id = txn.transaction_id
-        shard = object_id % self.shards
-        sync = self._sync.get(txn_id)
+        self.database.get(object_id)  # unknown-object parity before any RPC
+        sync = self.sync.get(txn)
+        has_import = _has_import(txn)
         if sync is None:
-            raise InvalidOperation(
-                f"transaction {txn_id} is not active", txn_id
+            sync = self.sync[txn] = _TxnSync(txn)
+            txn.account.track_changes()
+            if has_import:
+                txn.import_account.track_changes()
+        else:
+            # Charges made directly on the canonical accounts since the
+            # last worker op (by an in-process, failed-over shard).
+            account_delta = txn.account.take_delta()
+            import_delta = (
+                txn.import_account.take_delta() if has_import else None
             )
-        if self._local[shard] is not None:
-            return self._local_op(txn, shard, op, object_id, value)
-        if self.shard_rpc == "legacy":
-            return self._operate_legacy(txn, sync, shard, op, object_id, value)
+            if account_delta is not None or import_delta is not None:
+                sync.version += 1
+                sync.fall_behind(None, account_delta, import_delta)
         opcode = _OP_READ if op == "read" else _OP_WRITE
-        has_import = self._has_import(txn)
+        value = float(value)
         item = self._build_op_item(
-            txn, sync, shard, opcode, object_id, value, has_import
+            txn, sync, opcode, object_id, value, has_import
         )
-        try:
-            reply = self._channels[shard].request(item)
+        reply = self._request(item)
+        if reply[0] == "resync":
+            # Version skew (the worker holds a different revision than
+            # our record says — e.g. a dropped acknowledgement): forget
+            # the record and re-send with a full dump.
+            _perf.rpc_resyncs += 1
+            sync.shard_versions.pop(self.index, None)
+            sync.pending.pop(self.index, None)
+            item = self._build_op_item(
+                txn, sync, opcode, object_id, value, has_import
+            )
+            reply = self._request(item)
             if reply[0] == "resync":
-                # Version skew (the worker holds a different revision
-                # than our record says — e.g. a dropped acknowledgement):
-                # forget the record and re-send with a full dump.
-                _perf.rpc_resyncs += 1
-                sync.shard_versions.pop(shard, None)
-                sync.pending.pop(shard, None)
-                item = self._build_op_item(
-                    txn, sync, shard, opcode, object_id, value, has_import
+                raise ShardChannelError(
+                    "worker refused a full-dump resync", self.index, 1
                 )
-                reply = self._channels[shard].request(item)
-                if reply[0] == "resync":
-                    raise ShardChannelError(
-                        "worker refused a full-dump resync", shard, 1
-                    )
-        except (OSError, EOFError, ShardChannelError):
-            return self._shard_failed(txn, shard)
         if reply[0] == "err":
             raise reply[1]
         outcome = reply[1]
-        self._apply_sync_out(txn, sync, shard, reply[2], has_import)
-        touched = self._touched.get(txn_id)
-        if touched is not None:
-            touched.add(shard)
-        return self._absorb(
-            txn, object_id, outcome, is_read=(op == "read"), value=value
-        )
+        self._apply_sync_out(txn, sync, reply[2], has_import)
+        self._record(txn, op, object_id, value, outcome)
+        return outcome
 
     def _build_op_item(
         self,
         txn: TransactionState,
         sync: _TxnSync,
-        shard: int,
         opcode: int,
         object_id: int,
         value: float,
         has_import: bool,
     ) -> tuple:
         descriptor = None
-        held = sync.shard_versions.get(shard)
-        if held is None:
-            # First touch: ship the sibling descriptor and the full state.
-            descriptor = sync.descriptor
-            sync_in: tuple = (
+        held = sync.shard_versions.get(self.index)
+        entry = sync.pending.get(self.index)
+        if held == sync.version:
+            sync_in: tuple = ("none", sync.version)
+            _perf.rpc_sync_none += 1
+        elif held is not None and entry is not None:
+            account_acc, import_acc = entry
+            sync_in = (
+                "delta",
+                held,
+                sync.version,
+                (
+                    tuple(account_acc) if account_acc else None,
+                    tuple(import_acc) if import_acc else None,
+                ),
+            )
+            _perf.rpc_sync_delta += 1
+        else:
+            if held is None:
+                # First touch: ship the sibling descriptor as well.
+                descriptor = sync.descriptor
+            sync_in = (
                 "full",
                 sync.version,
-                self._dump_accounts(txn, has_import),
+                (
+                    txn.account.dump_state(),
+                    txn.import_account.dump_state() if has_import else None,
+                ),
             )
             _perf.rpc_sync_full += 1
-        elif held == sync.version:
-            sync_in = ("none", sync.version)
-            _perf.rpc_sync_none += 1
-        else:
-            entry = sync.pending.get(shard)
-            if entry is None or entry is _PENDING_FULL:
-                sync_in = (
-                    "full",
-                    sync.version,
-                    self._dump_accounts(txn, has_import),
-                )
-                _perf.rpc_sync_full += 1
-            else:
-                account_acc, import_acc = entry
-                sync_in = (
-                    "delta",
-                    held,
-                    sync.version,
-                    (
-                        tuple(account_acc) if account_acc else None,
-                        tuple(import_acc) if import_acc else None,
-                    ),
-                )
-                _perf.rpc_sync_delta += 1
         return (
             "op",
             txn.transaction_id,
@@ -1568,363 +1129,131 @@ class ProcessShardedEngine:
         self,
         txn: TransactionState,
         sync: _TxnSync,
-        shard: int,
         sync_out: tuple | None,
         has_import: bool,
     ) -> None:
-        if sync_out is None:
-            # The op charged nothing; the worker now simply holds
-            # whatever revision the op frame brought it to.
-            sync.shard_versions[shard] = sync.version
-            sync.pending.pop(shard, None)
-            return
-        account_delta, import_delta = sync_out
-        if account_delta is not None:
-            txn.account.apply_delta(account_delta)
-        if import_delta is not None and has_import:
-            txn.import_account.apply_delta(import_delta)
-        sync.version += 1
-        sync.shard_versions[shard] = sync.version
-        sync.pending.pop(shard, None)
-        # Every other touched shard just fell one revision behind; fold
-        # this delta into its pending accumulator so its next op ships
-        # exactly the missed changes — O(changed entries), never a dump.
-        for other in sync.shard_versions:
-            if other == shard:
-                continue
-            entry = sync.pending.get(other)
-            if entry is _PENDING_FULL:
-                continue
-            if entry is None:
-                entry = [None, None]
-                sync.pending[other] = entry
+        if sync_out is not None:
+            account_delta, import_delta = sync_out
             if account_delta is not None:
-                entry[0] = _merge_delta(entry[0], account_delta)
-            if import_delta is not None:
-                entry[1] = _merge_delta(entry[1], import_delta)
-
-    def _operate_legacy(
-        self,
-        txn: TransactionState,
-        sync: _TxnSync,
-        shard: int,
-        op: str,
-        object_id: int,
-        value: float,
-    ) -> Outcome:
-        """The original channel: one pickle round-trip per op, full dumps."""
-        txn_id = txn.transaction_id
-        descriptor = (
-            sync.descriptor if shard not in sync.shard_versions else None
-        )
-        account_state = txn.account.dump_state()
-        has_import = self._has_import(txn)
-        import_state = txn.import_account.dump_state() if has_import else None
-        frame = (
-            "op",
-            (
-                txn_id,
-                descriptor,
-                op,
-                object_id,
-                value,
-                account_state,
-                import_state,
-            ),
-        )
-        try:
-            reply = self._channels[shard].request_legacy(frame)
-        except (OSError, EOFError, ShardChannelError):
-            return self._shard_failed(txn, shard)
-        # Legacy mode keeps no versions; the entry just marks "descriptor
-        # shipped" so later ops skip it.
-        sync.shard_versions.setdefault(shard, 0)
-        if reply[0] == "err":
-            raise reply[1]
-        outcome, account_state, import_state = reply[1]
-        txn.account.load_state(account_state)
-        if import_state is not None and has_import:
-            txn.import_account.load_state(import_state)
-        touched = self._touched.get(txn_id)
-        if touched is not None:
-            touched.add(shard)
-        return self._absorb(
-            txn, object_id, outcome, is_read=(op == "read"), value=value
-        )
-
-    def _local_op(
-        self,
-        txn: TransactionState,
-        shard: int,
-        op: str,
-        object_id: int,
-        value: float,
-    ) -> Outcome:
-        """Operate on a failed-over shard's in-process engine."""
-        engine = self._local[shard]
-        sync = self._sync.get(txn.transaction_id)
-        fast = self.shard_rpc != "legacy"
-        with self._local_locks[shard]:
-            sibling = self._local_sibling(txn, shard)
-            if op == "read":
-                outcome = engine.read(sibling, object_id)
-            else:
-                outcome = engine.write(sibling, object_id, value)
-        if sync is not None and fast:
-            # The local engine mutated the shared canonical account
-            # directly — there is no delta to accumulate, so move the
-            # revision past every worker shard and force their next op
-            # to carry a full dump.
+                txn.account.apply_delta(account_delta)
+            if import_delta is not None and has_import:
+                txn.import_account.apply_delta(import_delta)
             sync.version += 1
-            for other in sync.shard_versions:
-                if other != shard:
-                    sync.pending[other] = _PENDING_FULL
-        touched = self._touched.get(txn.transaction_id)
-        if touched is not None:
-            touched.add(shard)
-        return self._absorb(
-            txn, object_id, outcome, is_read=(op == "read"), value=value
-        )
+            sync.fall_behind(self.index, account_delta, import_delta)
+        # Charged or not, the worker now holds the current revision.
+        sync.shard_versions[self.index] = sync.version
+        sync.pending.pop(self.index, None)
 
-    def _local_sibling(
-        self, txn: TransactionState, shard: int
-    ) -> TransactionState:
-        shard_map = self._siblings.get(txn.transaction_id)
-        if shard_map is None:
-            raise InvalidOperation(
-                f"transaction {txn.transaction_id} is not active",
-                txn.transaction_id,
-            )
-        sibling = shard_map.get(shard)
-        if sibling is None:
-            sibling = TransactionState(
-                transaction_id=txn.transaction_id,
-                kind=txn.kind,
-                timestamp=txn.timestamp,
-                bounds=txn.bounds,
-                catalog=self.database.catalog,
-            )
-            # In-process again: the accounts can be shared directly, as
-            # in the thread-based composite.
-            sibling.account = txn.account
-            sibling.import_account = txn.import_account
-            sibling.object_limits = txn.object_limits
-            shard_map[shard] = sibling
-            self._local[shard].adopt(sibling)
-        return sibling
-
-    def _absorb(
+    def _record(
         self,
         txn: TransactionState,
+        op: str,
         object_id: int,
+        value: float,
         outcome: Outcome,
-        is_read: bool,
-        value: float = 0.0,
-    ) -> Outcome:
-        """Mirror a shard outcome onto the global state and the recorder.
+    ) -> None:
+        """Re-record a relayed outcome exactly as a bare manager would.
 
-        Unlike the thread-based composite — whose inner engines share the
-        composite's recorder — worker metrics are discarded, so the
-        parent re-records each outcome exactly as a bare manager would.
-        Outcome payloads (esr_case, charged inconsistency, values) ride
-        the shard channel's reply frames, so parent-side events carry the
-        same information worker-side recording would have.
+        Worker-side recording is discarded; outcome payloads (esr_case,
+        charged inconsistency, values) ride the reply frames, so these
+        events carry the same information.
         """
-        shard = object_id % self.shards
         if isinstance(outcome, Granted):
-            absorb_granted(txn, object_id, outcome, is_read)
-            if is_read:
-                self.recorder.read(txn, object_id, outcome, shard=shard)
+            if op == "read":
+                self.recorder.read(txn, object_id, outcome, shard=self.index)
             else:
                 self.recorder.write(
-                    txn, object_id, value, outcome, shard=shard
+                    txn, object_id, value, outcome, shard=self.index
                 )
         elif isinstance(outcome, MustWait):
             self.recorder.wait(
                 txn,
-                "read" if is_read else "write",
+                op,
                 object_id,
                 outcome.blocking_transaction,
-                shard=shard,
+                shard=self.index,
             )
         elif isinstance(outcome, Rejected):
-            # The shard already aborted and finished the sibling it saw;
-            # record as the bare manager's _reject would, then propagate
-            # the abort to every other touched shard.
+            # The worker aborted and finished its sibling, as the bare
+            # manager's _reject does.
             self.recorder.rejection(
-                txn, "read" if is_read else "write", object_id, outcome,
-                shard=shard,
+                txn, op, object_id, outcome, shard=self.index
             )
-            self._finish_global(
-                txn,
-                TransactionStatus.ABORTED,
-                outcome.reason,
-                record=True,
-                already_finished=object_id % self.shards,
-            )
-        return outcome
+            self.recorder.abort(txn, outcome.reason, shard=self.index)
 
-    # -- completion --------------------------------------------------------------
-
-    def commit(self, txn: TransactionState) -> None:
-        txn.require_active()
-        self._finish_global(
-            txn, TransactionStatus.COMMITTED, None, record=True
-        )
-
-    def abort(
-        self, txn: TransactionState, reason: str = REASON_CLIENT_ABORT
-    ) -> None:
-        if txn.status is TransactionStatus.ABORTED:
-            return
-        if txn.status is TransactionStatus.COMMITTED:
-            raise InvalidOperation(
-                f"cannot abort committed transaction {txn.transaction_id}",
-                txn.transaction_id,
-            )
-        self._finish_global(
-            txn, TransactionStatus.ABORTED, reason, record=True
-        )
-
-    def _finish_global(
+    def complete(
         self,
         txn: TransactionState,
         status: TransactionStatus,
         reason: str | None,
-        record: bool,
-        already_finished: int | None = None,
     ) -> None:
-        """Decide the completion once, fan it out to every touched shard.
-
-        Complete items ride the same batch frames as ops, so a busy
-        channel coalesces completions from concurrent transactions into
-        shared round-trips."""
-        with self._txn_lock:
-            self._completing.add(txn.transaction_id)
-            touched = self._touched.pop(txn.transaction_id, set())
-            local_map = self._siblings.pop(txn.transaction_id, {})
-            self._sync.pop(txn.transaction_id, None)
-            self._active.pop(txn.transaction_id, None)
-        committing = status is TransactionStatus.COMMITTED
-        legacy = self.shard_rpc == "legacy"
-        for shard in sorted(touched):
-            if shard == already_finished:
-                continue
-            engine = self._local[shard]
-            if engine is not None:
-                sibling = local_map.get(shard)
-                if sibling is not None and sibling.is_active:
-                    with self._local_locks[shard]:
-                        engine.complete(sibling, status, reason)
-                continue
-            try:
-                if legacy:
-                    reply = self._channels[shard].request_legacy(
-                        ("complete", txn.transaction_id, status.value, reason)
-                    )
-                    kind = "committed" if reply[0] == "ok" else reply[0]
-                else:
-                    reply = self._channels[shard].request(
-                        ("complete", txn.transaction_id, status.value, reason)
-                    )
-                    kind = reply[0]
-            except (OSError, EOFError, ShardChannelError):
-                # The shard's staged effects died with its worker; the
-                # mirror below is the surviving committed state.
-                self._failover(shard)
-                continue
-            if kind == "err":
-                continue
-            if committing:
-                for object_id, (value, write_ts) in reply[1].items():
-                    self.database.get(object_id).adopt_committed(
-                        value, write_ts
-                    )
-        if status is TransactionStatus.ABORTED:
-            txn.abort_reason = reason
-            if record:
-                self.recorder.abort(txn, reason)
-        elif record:
-            self.recorder.commit(txn)
-        txn.status = status
-        self.waits.fire(txn.transaction_id)
-        self._completing.discard(txn.transaction_id)
-
-    # -- worker failure ----------------------------------------------------------
-
-    def _shard_failed(self, txn: TransactionState, shard: int) -> Rejected:
-        """An op hit a dead worker: fail the shard over, abort the txn."""
-        self._failover(shard)
-        if txn.is_active:
-            self._finish_global(
-                txn,
-                TransactionStatus.ABORTED,
-                REASON_SHARD_FAILOVER,
-                record=True,
+        reply = self._request(
+            ("complete", txn.transaction_id, status.value, reason)
+        )
+        if reply[0] == "err":
+            # The worker's copy of this shard no longer matches what the
+            # parent decided (a commit it could not promote): lost state.
+            raise ShardChannelError(
+                f"worker failed to apply a completion: {reply[1]!r}",
+                self.index,
+                1,
             )
-        return Rejected(
-            REASON_SHARD_FAILOVER,
-            detail=(
-                f"shard {shard} worker died; the shard continues in-process"
+        if status is TransactionStatus.COMMITTED:
+            for object_id, (value, write_ts) in reply[1].items():
+                self.database.get(object_id).adopt_committed(value, write_ts)
+
+    def wait_edge(self, waiter: int | None, transaction: int) -> None:
+        try:
+            if waiter is None:
+                self.channel.post_note(_NOTE_WAKEUP, transaction)
+            else:
+                self.channel.post_note(_NOTE_WAIT, waiter, transaction)
+        except OSError:
+            pass  # the op path notices the dead worker and fails over
+
+    def close(self, timeout: float = 1.0) -> None:
+        self.channel.close(timeout)
+
+
+def fork_shards(
+    databases: list[Database],
+    protocol: str,
+    recorder: HistoryRecorder,
+    *,
+    distance: DistanceFunction,
+    export_policy: str,
+    wait_policy: str,
+) -> list[WorkerShard]:
+    """Fork one daemon worker per shard database; return their backends."""
+    context = multiprocessing.get_context("fork")
+    pairs = [socket.socketpair() for _ in databases]
+    sync: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    shards = []
+    for index, database in enumerate(databases):
+        parent_sock, child_sock = pairs[index]
+        inherited = [
+            endpoint
+            for other, pair in enumerate(pairs)
+            if other != index
+            for endpoint in pair
+        ]
+        process = context.Process(
+            target=_worker_main,
+            args=(
+                child_sock,
+                inherited,
+                database,
+                protocol,
+                distance,
+                export_policy,
+                wait_policy,
             ),
+            name=f"repro-shard-{index}",
+            daemon=True,
         )
-
-    def _failover(self, shard: int) -> None:
-        """Replace a dead worker with an in-process engine over the mirror.
-
-        Committed state survives (the parent mirrors every commit);
-        whatever lived only inside the worker — staged writes, read
-        timestamps, reader registries, version history — is gone, so
-        every transaction that touched the shard is aborted with
-        ``"shard-failover"`` and restarts under a fresh timestamp.
-        """
-        with self._failover_lock:
-            if self._local[shard] is not None or self._closed:
-                return
-            self._channels[shard].close(timeout=0.2)
-            _perf.shard_failovers += 1
-            engine = build_unsharded(
-                self._databases[shard],
-                self._spec,
-                distance=self.distance,
-                export_policy=self.export_policy,
-                wait_policy=self.wait_policy,
-            )
-            engine.waits = self.waits
-            self._local[shard] = engine
-        for txn in list(self._active.values()):
-            touched = self._touched.get(txn.transaction_id)
-            if touched is not None and shard in touched and txn.is_active:
-                self._finish_global(
-                    txn,
-                    TransactionStatus.ABORTED,
-                    REASON_SHARD_FAILOVER,
-                    record=True,
-                    already_finished=shard,
-                )
-
-    # -- teardown ----------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut every worker down (idempotent); never leaves orphans."""
-        if self._closed:
-            return
-        self._closed = True
-        for channel in self._channels:
-            channel.close()
-        self._finalizer.detach()
-
-    def __enter__(self) -> "ProcessShardedEngine":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        failed = len(self.failed_shards())
-        degraded = f", failed_over={failed}" if failed else ""
-        return (
-            f"ProcessShardedEngine(protocol={self.protocol!r}, "
-            f"shards={self.shards}, active={len(self._active)}, "
-            f"objects={len(self.database)}{degraded})"
-        )
+        process.start()
+        channel = _WorkerChannel(parent_sock, process, index)
+        shards.append(WorkerShard(index, channel, database, recorder, sync))
+    for _, child_sock in pairs:
+        child_sock.close()
+    return shards

@@ -1,51 +1,74 @@
-"""Sharded composite engine: per-shard critical sections, one ledger.
+"""The shard composite: one engine over N shards, in threads or processes.
 
-:class:`ShardedEngine` partitions one database by object key
-(``object_id % shards``) across N inner engines — each a bare manager
-built by :func:`repro.engine.api.build_unsharded` over a shard-local
-:class:`~repro.engine.database.Database` view that *aliases* the real
-objects — and guards each shard with its own lock, so operations on
-different shards proceed concurrently.  The hierarchical bound
-accounting stays correct across shards:
+:class:`ShardedEngine` is the only class that implements the
+:class:`~repro.engine.api.Engine` protocol for ``shards > 1``.  It
+partitions one database by object key (``object_id % shards``) into
+shard-local :class:`~repro.engine.database.Database` views that *alias*
+the real objects, and owns everything that exists once per transaction
+whatever the topology: id and timestamp allocation, the global
+:class:`TransactionState` hosts hold on to, its inconsistency accounts,
+the commit/abort decision and its fan-out, the completing window, and
+the one wait registry.
 
-* **OIL/OEL** charges are decided where they always were — inside the
-  per-object admission the shard's inner engine runs under its shard
-  lock;
-* **TIL/TEL and group limits** span shards.  Every transaction carries
-  its usual :class:`~repro.core.accounting.InconsistencyAccount`s, but
-  the sharded engine installs one per-transaction lock on them
-  (:meth:`~repro.core.accounting.InconsistencyAccount.install_lock`),
-  making the object → groups → transaction check-and-charge atomic even
-  when two shards admit operations for sibling transactions of the same
-  client concurrently.  Exactly-at-limit semantics are untouched — the
-  same ledger code runs, just under a lock.
+**The shard seam.**  Each shard slot holds a backend with four calls:
 
-**Sibling transactions.**  ``begin`` allocates the id and timestamp
-globally and returns the *global* :class:`TransactionState` (what hosts
-hold on to).  The first operation touching a shard lazily creates a
-sibling ``TransactionState`` with the same id/timestamp/kind whose
-``account`` / ``import_account`` / ``object_limits`` *are* the global
-transaction's, and adopts it into the shard's inner engine.  Each inner
-engine therefore sees a perfectly ordinary transaction; commit/abort is
-decided once globally and applied to every touched shard through the
-managers' ``complete`` hook (state effects per shard, metrics recorded
-exactly once here).
+* ``operate(txn, op, object_id, value) -> Outcome`` — run one read or
+  write of the global transaction on this shard, record it, and leave
+  the global accounts holding whatever it charged.  A ``Rejected``
+  outcome means the backend already recorded the rejection and the
+  abort and finished its own copy of the transaction;
+* ``complete(txn, status, reason)`` — apply a completion decided by the
+  composite (no-op for a transaction the shard never saw);
+* ``wait_edge(waiter, transaction)`` — a waiter parked behind
+  ``transaction``, or (``waiter is None``) ``transaction`` completed;
+* ``close()``.
 
-**Waits.**  All inner engines share one :class:`_SharedWaitRegistry`.
-Its ``subscribe`` checks whether the blocking transaction is still
-globally active and fires the callback immediately when it is not —
-closing the missed-wake-up race where a blocker completes between an
-operation returning ``MustWait`` (under the shard lock) and the host
-subscribing (outside it).  Completion fires waiters per shard as each
-sibling completes and once more after the global cleanup; a waiter woken
-early simply retries and re-subscribes (a bounded busy retry while a
-multi-shard completion is in flight).
+There are two backends.  :class:`_LocalShard` (here) is a lock, an
+ordinary inner engine built by :func:`~repro.engine.api.build_unsharded`
+over the shard's view, and lazily built *sibling* transactions — same
+id, timestamp and kind as the global one, whose ``account`` /
+``import_account`` / ``object_limits`` **are** the global transaction's.
+:class:`~repro.engine.procshard.WorkerShard` runs the same inner engine
+in a forked worker process behind a socketpair and keeps the worker's
+copy of the accounts delta-synced with the parent's (see
+:mod:`repro.engine.procshard` for that transport).  Raising
+:class:`~repro.errors.ShardChannelError` from ``operate`` or
+``complete`` is how a backend says its shard's state is lost.
 
-**2PL caveat.**  Deadlock detection walks the shared wait-for relation,
-so cross-shard cycles are caught whenever the earlier waiter has
-subscribed; two transactions parking simultaneously under different
-shard locks can slip past the check, which is why the servers keep their
-``wait_timeout`` guard (the standard distributed-2PL position).
+**Bound accounting is identical on both.**  OIL/OEL are decided where
+they always were, inside the per-object admission the shard's inner
+engine runs.  TIL/TEL and group limits span shards, so the accounts
+that carry them live once, in the parent, on the global transaction:
+in-process siblings charge them directly under one per-transaction lock
+(:meth:`~repro.core.accounting.InconsistencyAccount.install_lock`),
+workers charge a synced copy and ship the delta back.  The same ledger
+code runs either way, so exactly-at-limit admission is untouched.
+
+**Completion.**  Commit/abort is decided once here and applied to every
+touched shard through ``complete``; the commit/abort event and counters
+are recorded exactly once here.  The global maps are popped *first*, so
+a waiter subscribing afterwards sees the blocker as inactive.
+
+**Waits.**  All in-process inner engines share one
+:class:`_SharedWaitRegistry`; workers never park anything (``MustWait``
+propagates to the parent).  ``subscribe`` fires the callback at once
+when the blocker is no longer globally active — closing the race where
+it completes between an operation returning ``MustWait`` and the host
+subscribing — and backs off while the blocker's completion is still
+being applied shard by shard.  Parked edges and completions are passed
+to every backend's ``wait_edge`` so 2PL's deadlock walk inside a worker
+sees cross-shard cycles.  Two transactions parking simultaneously on
+different shards can still slip past the check, which is why the
+servers keep their ``wait_timeout`` guard (the standard distributed-2PL
+position).
+
+**Failover is a backend swap.**  When a worker shard is lost the
+composite closes it, builds a :class:`_LocalShard` over that slot's
+view — the parent's objects, which every commit reply has kept current
+— aborts every transaction that had touched the shard (reason
+``"shard-failover"``: staged writes, read timestamps and version history
+died with the worker), and keeps serving.  A failed-over shard simply
+*is* a thread shard.
 
 With ``shards=1`` the composite is behaviourally identical to the bare
 manager on deterministic workloads (pinned by the golden-determinism
@@ -57,6 +80,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from typing import Callable, Mapping
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
@@ -65,7 +89,7 @@ from repro.engine.api import build_unsharded, validate_protocol_options
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT
+from repro.engine.reasons import REASON_CLIENT_ABORT, REASON_SHARD_FAILOVER
 from repro.engine.results import Granted, Outcome, Rejected
 from repro.engine.scheduler import WaitRegistry
 from repro.engine.timestamps import Timestamp, TimestampGenerator
@@ -74,28 +98,10 @@ from repro.engine.transactions import (
     TransactionState,
     TransactionStatus,
 )
-from repro.errors import InvalidOperation
+from repro.errors import InvalidOperation, ShardChannelError
+from repro.perf import counters as _perf
 
-__all__ = ["ShardedEngine", "absorb_granted"]
-
-
-def absorb_granted(
-    txn: TransactionState, object_id: int, outcome: Granted, is_read: bool
-) -> None:
-    """Mirror one granted shard outcome onto the global transaction state.
-
-    The shared absorption seam of both sharded composites (threads and
-    processes): read/write sets, the operation count, and the
-    inconsistent-operation tally move to the global transaction exactly
-    as the bare manager would have recorded them on itself.
-    """
-    if is_read:
-        txn.read_set.add(object_id)
-    else:
-        txn.write_set.add(object_id)
-    txn.operations += 1
-    if outcome.esr_case is not None:
-        txn.inconsistent_operations += 1
+__all__ = ["ShardedEngine"]
 
 
 class _LockedMetrics(MetricsCollector):
@@ -143,7 +149,8 @@ _SELF_FIRE_BACKOFF_CAP = 0.005
 
 
 class _SharedWaitRegistry(WaitRegistry):
-    """One wait registry shared by every shard's inner engine.
+    """The one wait registry of a composite, shared by every in-process
+    inner engine.
 
     Thread-safe, and subscription-time aware of completion: if the
     blocking transaction is no longer globally active when a waiter
@@ -155,19 +162,22 @@ class _SharedWaitRegistry(WaitRegistry):
     a capped exponential backoff first — the retry loop stays a *bounded*
     busy retry instead of a core-burning spin when the blocker commits
     late on one of its other shards.
+
+    ``on_park(waiter, blocker)`` is told, outside the lock, about every
+    wait-for edge that actually parked.
     """
 
     def __init__(
         self,
         is_active: Callable[[int], bool],
-        is_completing: Callable[[int], bool] | None = None,
+        is_completing: Callable[[int], bool],
+        on_park: Callable[[int, int], None] = lambda waiter, blocker: None,
     ) -> None:
         super().__init__()
         self._lock = threading.RLock()
         self._is_active = is_active
-        self._is_completing = (
-            is_completing if is_completing is not None else lambda _txn: False
-        )
+        self._is_completing = is_completing
+        self._on_park = on_park
         #: (waiter, blocker) -> consecutive self-fires against an
         #: in-flight completion, driving the backoff schedule.
         self._self_fires: dict[tuple[int | None, int], int] = {}
@@ -178,6 +188,7 @@ class _SharedWaitRegistry(WaitRegistry):
         callback: Callable[[], None],
         waiter_transaction: int | None = None,
     ) -> None:
+        parked = False
         backoff = 0.0
         with self._lock:
             if self._is_active(blocking_transaction):
@@ -189,8 +200,8 @@ class _SharedWaitRegistry(WaitRegistry):
                     callback,
                     waiter_transaction=waiter_transaction,
                 )
-                return
-            if self._is_completing(blocking_transaction):
+                parked = True
+            elif self._is_completing(blocking_transaction):
                 key = (waiter_transaction, blocking_transaction)
                 count = self._self_fires.get(key, 0)
                 self._self_fires[key] = count + 1
@@ -198,6 +209,10 @@ class _SharedWaitRegistry(WaitRegistry):
                     _SELF_FIRE_BACKOFF_INITIAL * (2**count),
                     _SELF_FIRE_BACKOFF_CAP,
                 )
+        if parked:
+            if waiter_transaction is not None:
+                self._on_park(waiter_transaction, blocking_transaction)
+            return
         if backoff > 0.0:
             time.sleep(backoff)
         callback()
@@ -262,8 +277,86 @@ class _AggregateSnapshot:
         return f"_AggregateSnapshot(shards={len(self.stores)})"
 
 
+class _LocalShard:
+    """The in-process shard backend: a lock, an inner engine, siblings."""
+
+    #: No worker process behind this shard.
+    pid = None
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self.lock = threading.Lock()
+        #: Global txn id -> this shard's twin of the transaction.
+        self._siblings: dict[int, TransactionState] = {}
+
+    def operate(
+        self, txn: TransactionState, op: str, object_id: int, value: float
+    ) -> Outcome:
+        with self.lock:
+            sibling = self._siblings.get(txn.transaction_id)
+            if sibling is None:
+                sibling = self._adopt(txn)
+            if op == "read":
+                outcome = self.engine.read(sibling, object_id)
+            else:
+                outcome = self.engine.write(sibling, object_id, value)
+            if sibling.status is not TransactionStatus.ACTIVE:
+                # A rejection auto-aborted (and finished) the sibling.
+                del self._siblings[txn.transaction_id]
+        return outcome
+
+    def _adopt(self, txn: TransactionState) -> TransactionState:
+        """Build the per-shard twin of ``txn`` on first touch.
+
+        Called under the shard's lock.  A transaction's operations are
+        serialised by its client connection, so sibling creation for one
+        transaction is single-threaded.
+        """
+        sibling = TransactionState(
+            transaction_id=txn.transaction_id,
+            kind=txn.kind,
+            timestamp=txn.timestamp,
+            bounds=txn.bounds,
+            catalog=self.engine.database.catalog,
+        )
+        # The accounts *are* the global transaction's — every shard
+        # charges the same TIL/GIL ledger (under its lock).
+        sibling.account = txn.account
+        sibling.import_account = txn.import_account
+        sibling.object_limits = txn.object_limits
+        self._siblings[txn.transaction_id] = sibling
+        self.engine.adopt(sibling)
+        return sibling
+
+    def complete(
+        self,
+        txn: TransactionState,
+        status: TransactionStatus,
+        reason: str | None,
+    ) -> None:
+        with self.lock:
+            sibling = self._siblings.pop(txn.transaction_id, None)
+            if sibling is not None:
+                self.engine.complete(sibling, status, reason)
+
+    def wait_edge(self, waiter: int | None, transaction: int) -> None:
+        """Nothing to mirror: the inner engine shares the registry itself."""
+
+    def close(self) -> None:
+        """Nothing to release."""
+
+
+def _close_shards(shards: list) -> None:
+    """weakref.finalize hook: never leak worker processes."""
+    for shard in shards:
+        try:
+            shard.close()
+        except Exception:
+            pass
+
+
 class ShardedEngine:
-    """N per-shard engines behind the one :class:`~repro.engine.api.Engine`
+    """N shards behind the one :class:`~repro.engine.api.Engine`
     interface, with cross-shard hierarchical bound accounting."""
 
     #: Hosts holding a global engine mutex may skip it for this engine —
@@ -276,6 +369,7 @@ class ShardedEngine:
         protocol: str = "esr",
         *,
         shards: int,
+        processes: bool = False,
         distance: DistanceFunction = absolute_distance,
         export_policy: str = "max",
         wait_policy: str = "wait",
@@ -285,11 +379,12 @@ class ShardedEngine:
         recorder: HistoryRecorder | None = None,
         record_history: bool = False,
     ):
-        spec = validate_protocol_options(
+        self._spec = validate_protocol_options(
             protocol,
             snapshot_cache=snapshot_cache,
             wait_policy=wait_policy,
             shards=shards,
+            processes=processes,
         )
         self.database = database
         self.protocol = protocol
@@ -297,6 +392,9 @@ class ShardedEngine:
         self.wait_policy = wait_policy
         self.export_policy = export_policy
         self.distance = distance
+        #: Why ``processes=True`` was not honoured (set by
+        #: :func:`~repro.engine.api.create_engine`), else None.
+        self.process_degraded: str | None = None
         if recorder is not None:
             self.recorder = recorder
         else:
@@ -312,17 +410,19 @@ class ShardedEngine:
         #: Guards id/timestamp allocation and the global transaction maps.
         self._txn_lock = threading.Lock()
         self._active: dict[int, TransactionState] = {}
-        #: Global txn id -> {shard index: sibling TransactionState}.
-        self._siblings: dict[int, dict[int, TransactionState]] = {}
+        #: Global txn id -> shards it has operated on (completion fan-out).
+        self._touched: dict[int, set[int]] = {}
         #: Transactions popped from ``_active`` whose per-shard completion
         #: is still being applied — waiters self-firing against these back
         #: off instead of spinning (see :class:`_SharedWaitRegistry`).
         self._completing: set[int] = set()
         self.waits = _SharedWaitRegistry(
-            self._is_globally_active, self._is_completing
+            self._is_globally_active, self._is_completing, self._wait_edge
         )
         # Partition: shard-local Database views aliasing the real objects
-        # (and sharing the real catalog), one inner engine + lock each.
+        # (and sharing the real catalog).  A fork copy-on-writes them into
+        # the workers; the parent's originals stay behind as the
+        # committed-state mirror a failed-over shard is rebuilt on.
         self._databases = [
             Database(
                 catalog=database.catalog,
@@ -332,38 +432,72 @@ class ShardedEngine:
         ]
         for obj in database.objects():
             self._databases[obj.object_id % shards].adopt_object(obj)
-        self._locks = [threading.Lock() for _ in range(shards)]
-        self._engines = []
-        for shard_index, shard_db in enumerate(self._databases):
-            inner = build_unsharded(
-                shard_db,
-                spec,
+        self._snapshot_cache = snapshot_cache
+        self._failed: list[int] = []
+        self._failover_lock = threading.RLock()
+        self._closed = False
+        self._finalizer = None
+        if processes:
+            from repro.engine.procshard import fork_shards
+
+            self._shards = fork_shards(
+                self._databases,
+                protocol,
+                self.recorder,
                 distance=distance,
                 export_policy=export_policy,
                 wait_policy=wait_policy,
-                snapshot_cache=snapshot_cache,
-                recorder=self.recorder.for_shard(shard_index),
-                timestamps=self._timestamps,
             )
-            inner.waits = self.waits
-            self._engines.append(inner)
+            self._finalizer = weakref.finalize(
+                self, _close_shards, list(self._shards)
+            )
+        else:
+            self._shards = [self._local_shard(i) for i in range(shards)]
         if snapshot_cache:
             self.snapshot = _AggregateSnapshot(
-                tuple(engine.snapshot for engine in self._engines)
+                tuple(shard.engine.snapshot for shard in self._shards)
             )
         else:
             self.snapshot = None
+
+    def _local_shard(self, index: int) -> _LocalShard:
+        inner = build_unsharded(
+            self._databases[index],
+            self._spec,
+            distance=self.distance,
+            export_policy=self.export_policy,
+            wait_policy=self.wait_policy,
+            snapshot_cache=self._snapshot_cache,
+            recorder=self.recorder.for_shard(index),
+            timestamps=self._timestamps,
+        )
+        inner.waits = self.waits
+        return _LocalShard(inner)
 
     # -- routing ---------------------------------------------------------------
 
     def shard_of(self, object_id: int) -> int:
         return object_id % self.shards
 
+    def worker_pids(self) -> tuple[int | None, ...]:
+        """One worker process id per shard (None once a shard has failed
+        over); empty when the engine was built on threads."""
+        if self._finalizer is None:
+            return ()
+        return tuple(shard.pid for shard in self._shards)
+
+    def failed_shards(self) -> tuple[int, ...]:
+        return tuple(sorted(self._failed))
+
     def _is_globally_active(self, transaction_id: int) -> bool:
         return transaction_id in self._active
 
     def _is_completing(self, transaction_id: int) -> bool:
         return transaction_id in self._completing
+
+    def _wait_edge(self, waiter: int | None, transaction: int) -> None:
+        for shard in self._shards:
+            shard.wait_edge(waiter, transaction)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -406,77 +540,27 @@ class ShardedEngine:
             ):
                 txn.import_account.install_lock(account_lock)
             self._active[txn.transaction_id] = txn
-            self._siblings[txn.transaction_id] = {}
+            self._touched[txn.transaction_id] = set()
         self.recorder.begin(txn)
         return txn
-
-    def adopt(self, txn: TransactionState) -> None:
-        """Register an externally-built transaction as globally active."""
-        with self._txn_lock:
-            self._active[txn.transaction_id] = txn
-            self._siblings[txn.transaction_id] = {}
 
     def active_transactions(self) -> tuple[TransactionState, ...]:
         return tuple(self._active.values())
 
-    def _sibling(
-        self, txn: TransactionState, shard: int
-    ) -> TransactionState:
-        """The per-shard twin of ``txn``; created on first touch.
-
-        Called under the shard's lock.  A transaction's operations are
-        serialised by its client connection, so sibling creation for one
-        transaction is single-threaded.
-        """
-        try:
-            shard_map = self._siblings[txn.transaction_id]
-        except KeyError:
-            raise InvalidOperation(
-                f"transaction {txn.transaction_id} is not active",
-                txn.transaction_id,
-            ) from None
-        sibling = shard_map.get(shard)
-        if sibling is None:
-            sibling = TransactionState(
-                transaction_id=txn.transaction_id,
-                kind=txn.kind,
-                timestamp=txn.timestamp,
-                bounds=txn.bounds,
-                catalog=self.database.catalog,
-            )
-            # The accounts *are* the global transaction's — every shard
-            # charges the same TIL/GIL ledger (under its lock).
-            sibling.account = txn.account
-            sibling.import_account = txn.import_account
-            sibling.object_limits = txn.object_limits
-            shard_map[shard] = sibling
-            self._engines[shard].adopt(sibling)
-        return sibling
-
     # -- operations -------------------------------------------------------------
 
     def read(self, txn: TransactionState, object_id: int) -> Outcome:
-        txn.require_active()
-        shard = object_id % self.shards
-        with self._locks[shard]:
-            sibling = self._sibling(txn, shard)
-            outcome = self._engines[shard].read(sibling, object_id)
-        return self._absorb(txn, object_id, outcome, is_read=True)
+        return self._operate(txn, "read", object_id, 0.0)
 
     def write(
         self, txn: TransactionState, object_id: int, value: float
     ) -> Outcome:
-        txn.require_active()
         if not txn.is_update:
             raise InvalidOperation(
                 f"query transaction {txn.transaction_id} cannot write",
                 txn.transaction_id,
             )
-        shard = object_id % self.shards
-        with self._locks[shard]:
-            sibling = self._sibling(txn, shard)
-            outcome = self._engines[shard].write(sibling, object_id, value)
-        return self._absorb(txn, object_id, outcome, is_read=False)
+        return self._operate(txn, "write", object_id, value)
 
     def read_cached(
         self, txn: TransactionState, object_id: int
@@ -487,34 +571,54 @@ class ShardedEngine:
         fast path is safe without the engine mutex: the store publishes
         immutable records, the transaction's account is (here) locked,
         and one transaction's operations are serialised by its
-        connection.
+        connection.  The cache only exists on in-process shards
+        (``validate_protocol_options`` rejects it with ``processes``).
         """
         if self.snapshot is None:
             return None
-        return self._engines[object_id % self.shards].read_cached(
+        return self._shards[object_id % self.shards].engine.read_cached(
             txn, object_id
         )
 
-    def _absorb(
-        self,
-        txn: TransactionState,
-        object_id: int,
-        outcome: Outcome,
-        is_read: bool,
+    def _operate(
+        self, txn: TransactionState, op: str, object_id: int, value: float
     ) -> Outcome:
-        """Mirror a shard outcome onto the global transaction state."""
+        touched = self._touched.get(txn.transaction_id)
+        if touched is None:
+            # Finished (the entry goes first): say how, if it is known yet.
+            txn.require_active()
+            raise InvalidOperation(
+                f"transaction {txn.transaction_id} is not active",
+                txn.transaction_id,
+            )
+        shard = object_id % self.shards
+        # Marked before the call: a backend that raises may still have
+        # built its copy of the transaction, and must get the completion.
+        touched.add(shard)
+        try:
+            outcome = self._shards[shard].operate(txn, op, object_id, value)
+        except ShardChannelError:
+            return self._shard_failed(txn, shard)
         if isinstance(outcome, Granted):
-            absorb_granted(txn, object_id, outcome, is_read)
+            # Mirror the shard outcome onto the global transaction state
+            # exactly as a bare manager would have recorded it on itself.
+            if op == "read":
+                txn.read_set.add(object_id)
+            else:
+                txn.write_set.add(object_id)
+            txn.operations += 1
+            if outcome.esr_case is not None:
+                txn.inconsistent_operations += 1
         elif isinstance(outcome, Rejected):
-            # The shard already recorded the rejection and aborted (and
-            # finished) the sibling it saw; propagate the abort to every
+            # The backend already recorded the rejection and the abort
+            # and finished its own copy; propagate the abort to every
             # other touched shard and close out the global transaction.
             self._finish_global(
                 txn,
                 TransactionStatus.ABORTED,
                 outcome.reason,
                 record=False,
-                already_finished=object_id % self.shards,
+                already_finished=shard,
             )
         return outcome
 
@@ -553,14 +657,17 @@ class ShardedEngine:
         """
         with self._txn_lock:
             self._completing.add(txn.transaction_id)
-            shard_map = self._siblings.pop(txn.transaction_id, {})
+            touched = self._touched.pop(txn.transaction_id, ())
             self._active.pop(txn.transaction_id, None)
-        for shard in sorted(shard_map):
+        for shard in sorted(touched):
             if shard == already_finished:
                 continue
-            sibling = shard_map[shard]
-            with self._locks[shard]:
-                self._engines[shard].complete(sibling, status, reason)
+            try:
+                self._shards[shard].complete(txn, status, reason)
+            except ShardChannelError:
+                # The shard's staged effects are gone; what it had
+                # committed before survives in the parent's objects.
+                self._failover(shard)
         if status is TransactionStatus.ABORTED:
             txn.abort_reason = reason
             if record:
@@ -569,11 +676,71 @@ class ShardedEngine:
             self.recorder.commit(txn)
         txn.status = status
         self.waits.fire(txn.transaction_id)
+        self._wait_edge(None, txn.transaction_id)
         self._completing.discard(txn.transaction_id)
 
+    # -- shard loss --------------------------------------------------------------
+
+    def _shard_failed(self, txn: TransactionState, shard: int) -> Rejected:
+        """An op hit a lost shard: fail the shard over, abort the txn."""
+        self._failover(shard)
+        if txn.is_active:
+            self._finish_global(
+                txn,
+                TransactionStatus.ABORTED,
+                REASON_SHARD_FAILOVER,
+                record=True,
+            )
+        return Rejected(
+            REASON_SHARD_FAILOVER,
+            detail=(
+                f"shard {shard} worker died; the shard continues in-process"
+            ),
+        )
+
+    def _failover(self, shard: int) -> None:
+        """Swap a lost worker shard for an in-process one over the mirror.
+
+        Committed state survives (every commit reply updated the parent's
+        objects); whatever lived only inside the worker — staged writes,
+        read timestamps, reader registries, version history — is gone, so
+        every transaction that touched the shard is aborted with
+        ``"shard-failover"`` and restarts under a fresh timestamp.
+        """
+        with self._failover_lock:
+            if shard in self._failed or self._closed:
+                return
+            self._shards[shard].close(timeout=0.2)
+            _perf.shard_failovers += 1
+            self._shards[shard] = self._local_shard(shard)
+            self._failed.append(shard)
+        for txn in list(self._active.values()):
+            touched = self._touched.get(txn.transaction_id)
+            if touched is not None and shard in touched and txn.is_active:
+                self._finish_global(
+                    txn,
+                    TransactionStatus.ABORTED,
+                    REASON_SHARD_FAILOVER,
+                    record=True,
+                    already_finished=shard,
+                )
+
+    # -- teardown ----------------------------------------------------------------
+
+    def close(self) -> None:
+        """Shut every worker down (idempotent); never leaves orphans."""
+        if self._closed:
+            return
+        self._closed = True
+        for shard in self._shards:
+            shard.close()
+        if self._finalizer is not None:
+            self._finalizer.detach()
+
     def __repr__(self) -> str:
+        failed = f", failed_over={len(self._failed)}" if self._failed else ""
         return (
             f"ShardedEngine(protocol={self.protocol!r}, "
             f"shards={self.shards}, active={len(self._active)}, "
-            f"objects={len(self.database)})"
+            f"objects={len(self.database)}{failed})"
         )

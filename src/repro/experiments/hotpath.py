@@ -177,8 +177,7 @@ class ProcshardRpcConfig:
     *concurrent* phase (many client threads) is the throughput probe:
     it gives the flat-combining channel concurrent callers to coalesce,
     and its long transactions grow the per-transaction account
-    footprint that the legacy channel re-ships in full on every single
-    operation — the cost the delta-sync fast path removes."""
+    footprint, which delta sync keeps off the wire."""
 
     shards: int = 4
     objects: int = 256
@@ -229,12 +228,10 @@ def _rpc_delta(before: dict, after: dict) -> dict:
     }
 
 
-def run_procshard_rpc(
-    mode: str, config: ProcshardRpcConfig | None = None
-) -> dict | None:
-    """Time the parent↔worker shard channel in one wire mode.
+def run_procshard_rpc(config: ProcshardRpcConfig | None = None) -> dict | None:
+    """Time the parent↔worker shard channel.
 
-    ``mode`` is ``"fast"`` or ``"legacy"``.  Returns the figure dict —
+    Returns the figure dict —
     ``ops_per_s``/``batch_occupancy`` from the concurrent phase,
     ``bytes_per_op``/``round_trips_per_txn``/sync mix from the
     deterministic sequential phase — or ``None`` where process sharding
@@ -257,7 +254,6 @@ def run_procshard_rpc(
         "esr",
         shards=config.shards,
         processes="force",
-        shard_rpc=mode,
     )
     try:
         # Phase 1 — sequential bytes probe (deterministic for the seed).
@@ -396,18 +392,16 @@ def run_suite(
                 f"  {bench.name}: {best:.4f}s "
                 f"({bench.ops / best:,.0f} {bench.unit}/s)"
             )
-    rpc: dict[str, dict] | None = {}
-    for mode in ("fast", "legacy"):
-        figure = run_procshard_rpc(mode)
+    # Keyed by channel name so the committed baseline's shape (and the
+    # --rpc-guard that reads it) outlives the channels it was compared to.
+    figure = run_procshard_rpc()
+    rpc = {"fast": figure} if figure is not None else None
+    if progress is not None:
         if figure is None:
-            rpc = None
-            if progress is not None:
-                progress("  procshard_rpc: skipped (no fork)")
-            break
-        rpc[mode] = figure
-        if progress is not None:
+            progress("  procshard_rpc: skipped (no fork)")
+        else:
             progress(
-                f"  procshard_rpc[{mode}]: "
+                f"  procshard_rpc[fast]: "
                 f"{figure['ops_per_s']:,.0f} ops/s, "
                 f"{figure['bytes_per_op']:,.0f} bytes/op, "
                 f"occupancy {figure['batch_occupancy']:.2f}"

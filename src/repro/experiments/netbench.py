@@ -36,11 +36,11 @@ from:
   per-shard critical sections buys.
 * ``write-heavy-4proc`` — the same write-heavy mix with the four shard
   engines in worker **processes**
-  (:class:`~repro.engine.procshard.ProcessShardedEngine`).  Against
+  (:class:`~repro.engine.procshard.WorkerShard` backends).  Against
   ``write-heavy-1shard`` this (``speedup_process_sharded``) is what
   escaping the GIL buys; against ``write-heavy-4shard`` it isolates the
   IPC cost/parallelism trade.  On a single-core host the row degrades
-  to the thread composite and the report carries
+  to thread shards and the report carries
   ``process_sharding_degraded`` so ~1.0x is not misread.
 
 The headline ``speedup_requests_per_s`` is ``async`` versus the
@@ -810,7 +810,7 @@ class SuiteRow:
     #: single-engine server.
     shards: int = 1
     #: Run the shard engines in worker processes
-    #: (:class:`repro.engine.procshard.ProcessShardedEngine`).  ``True``
+    #: (:class:`repro.engine.procshard.WorkerShard`).  ``True``
     #: degrades to threads where processes cannot help (single core, no
     #: fork) — the report marks the degradation so the row is honest.
     processes: bool | str = False

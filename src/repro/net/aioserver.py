@@ -154,7 +154,7 @@ class _LoopEvent:
         await self._event.wait()
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: line framing, sessions, response buffer."""
 
     __slots__ = (
@@ -174,12 +174,19 @@ class _Connection(asyncio.Protocol):
         "lane",
         "codec",
         "binary",
+        "recv_view",
     )
 
     def __init__(self, server: "AsyncTransactionServer"):
         self.server = server
         self.transport: asyncio.Transport | None = None
         self.buffer = b""
+        #: Receive buffer the transport reads into.  A plain Protocol
+        #: makes the transport allocate (and shrink, and free) a 256 KiB
+        #: bytes object per recv; at that size glibc keeps mapping and
+        #: trimming memory, which cost a steady-state server a tenth of
+        #: its throughput in page faults.
+        self.recv_view = memoryview(bytearray(65536))
         #: Wire codec in effect (starts JSON; ``hello`` may switch it).
         self.codec: Codec = JSON_CODEC
         self.binary = False  # codec is length-prefixed, not line-framed
@@ -233,6 +240,12 @@ class _Connection(asyncio.Protocol):
         # Keep the transport open while an error response is still in
         # flight through the dispatch queue; flush_now() closes it.
         return self.failed
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(bytes(self.recv_view[:nbytes]))
 
     def data_received(self, data: bytes) -> None:
         if self.failed:
@@ -529,7 +542,6 @@ class AsyncTransactionServer:
         snapshot_cache: bool = False,
         shards: int = 1,
         processes: bool | str = False,
-        shard_rpc: str = "fast",
         codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
         record_history: bool = False,
     ):
@@ -541,7 +553,6 @@ class AsyncTransactionServer:
             snapshot_cache=snapshot_cache,
             shards=shards,
             processes=processes,
-            shard_rpc=shard_rpc,
             record_history=record_history,
         )
         #: Upper bound on one strict-ordering wait, in seconds.
@@ -932,7 +943,6 @@ def serve_in_thread(
     snapshot_cache: bool = False,
     shards: int = 1,
     processes: bool | str = False,
-    shard_rpc: str = "fast",
     codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
     use_uvloop: bool | None = None,
     record_history: bool = False,
@@ -948,7 +958,6 @@ def serve_in_thread(
         snapshot_cache=snapshot_cache,
         shards=shards,
         processes=processes,
-        shard_rpc=shard_rpc,
         codecs=codecs,
         record_history=record_history,
     )

@@ -25,7 +25,7 @@ its own per-shard locks internally.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.bounds import TransactionBounds
@@ -55,6 +55,9 @@ class NeedsWait:
     object_id: int
     value: float | None
     blocking_transaction: int
+    #: The connection's session map, so whichever call finishes the
+    #: transaction (a retry, a timeout) can drop its entry.
+    sessions: dict[int, TransactionState] = field(repr=False)
 
 
 def attach_id(response: dict[str, Any], message: dict[str, Any]) -> dict[str, Any]:
@@ -129,7 +132,9 @@ def submit_request(
             if op == "read":
                 return _resolve(
                     manager,
-                    NeedsWait(txn, "read", int(message["object"]), None, -1),
+                    NeedsWait(
+                        txn, "read", int(message["object"]), None, -1, sessions
+                    ),
                 )
             if op == "write":
                 return _resolve(
@@ -140,6 +145,7 @@ def submit_request(
                         int(message["object"]),
                         float(message["value"]),
                         -1,
+                        sessions,
                     ),
                 )
             if op == "commit":
@@ -189,6 +195,9 @@ def retry_operation(
     try:
         return _resolve(manager, pending)
     except (InvalidOperation, UnknownObjectError) as exc:
+        if not pending.txn.is_active:
+            # Finished behind the parked operation's back (shard failover).
+            pending.sessions.pop(pending.txn.transaction_id, None)
         return {"ok": False, "error": "invalid", "detail": str(exc)}
 
 
@@ -197,6 +206,7 @@ def abort_on_timeout(
 ) -> dict[str, Any]:
     """Abort a parked operation whose blocker never finished."""
     manager.abort(pending.txn, "wait-timeout")
+    pending.sessions.pop(pending.txn.transaction_id, None)
     return {"ok": False, "error": "aborted", "reason": "wait-timeout"}
 
 
@@ -225,6 +235,9 @@ def _resolve(
             "esr_case": outcome.esr_case,
         }
     assert isinstance(outcome, Rejected)
+    # The engine finished the transaction: the id is as gone as after a
+    # commit, and a connection must not accumulate its dead state.
+    pending.sessions.pop(txn.transaction_id, None)
     return {
         "ok": False,
         "error": "aborted",

@@ -143,7 +143,6 @@ class TransactionServer(socketserver.ThreadingTCPServer):
         snapshot_cache: bool = False,
         shards: int = 1,
         processes: bool | str = False,
-        shard_rpc: str = "fast",
         codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
         record_history: bool = False,
     ):
@@ -159,7 +158,6 @@ class TransactionServer(socketserver.ThreadingTCPServer):
             snapshot_cache=snapshot_cache,
             shards=shards,
             processes=processes,
-            shard_rpc=shard_rpc,
             record_history=record_history,
         )
         super().__init__(address, _Handler)
@@ -253,7 +251,6 @@ def serve_forever(
     snapshot_cache: bool = False,
     shards: int = 1,
     processes: bool | str = False,
-    shard_rpc: str = "fast",
     codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
     record_history: bool = False,
 ) -> TransactionServer:
@@ -268,7 +265,6 @@ def serve_forever(
         snapshot_cache=snapshot_cache,
         shards=shards,
         processes=processes,
-        shard_rpc=shard_rpc,
         codecs=codecs,
         record_history=record_history,
     )

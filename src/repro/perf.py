@@ -63,16 +63,16 @@ class PerfCounters:
                                  not fit, read-your-writes, ineligible txn)
     ``cache_divergence_charged`` total staleness (a float) cache-served
                                  reads charged to their ledgers
-    ``shard_failovers``          process-sharded shards rebuilt in-process
-                                 after their worker died
+    ``shard_failovers``          worker shards swapped for in-process ones
+                                 after their worker's state was lost
     ``rpc_ops``                  operations shipped over shard channels
-                                 (reads/writes/completes, both rpc modes)
+                                 (reads/writes/completes)
     ``rpc_round_trips``          framed round-trips on shard channels; the
-                                 fast path coalesces concurrent ops, so
+                                 channel coalesces concurrent ops, so
                                  ``rpc_batched_ops / rpc_round_trips`` is
                                  the mean batch occupancy
     ``rpc_batched_ops``          operations that rode a batch frame (every
-                                 fast-path op; zero in legacy mode)
+                                 op does)
     ``rpc_bytes_sent``           parent→worker shard-channel bytes
     ``rpc_bytes_received``       worker→parent shard-channel bytes
     ``rpc_sync_full``            op frames that carried a full account dump

@@ -31,6 +31,8 @@ from repro.engine.procshard import process_sharding_unavailable
 from repro.engine.reasons import REASON_CLIENT_ABORT, REJECTION_REASONS
 from repro.engine.results import Granted, Rejected
 
+from .topology import build_engine
+
 
 def _bounded_db(n: int = 8) -> Database:
     db = Database()
@@ -73,16 +75,21 @@ def _completion_events(events) -> dict[int, Counter]:
     return per_txn
 
 
+_needs_fork = pytest.mark.skipif(
+    process_sharding_unavailable() == "no-fork",
+    reason="process sharding needs the fork start method",
+)
+
 ENGINE_SHAPES = [
     pytest.param({}, id="bare"),
     pytest.param({"shards": 2}, id="sharded"),
     pytest.param(
-        {"shards": 2, "processes": "force"},
-        id="procshard",
-        marks=pytest.mark.skipif(
-            process_sharding_unavailable() == "no-fork",
-            reason="process sharding needs the fork start method",
-        ),
+        {"shards": 2, "processes": "force"}, id="procshard", marks=_needs_fork
+    ),
+    pytest.param(
+        {"shards": 2, "processes": "failover"},
+        id="procshard-failed-over",
+        marks=_needs_fork,
     ),
 ]
 
@@ -90,7 +97,7 @@ ENGINE_SHAPES = [
 class TestRecordingParity:
     @pytest.mark.parametrize("shape", ENGINE_SHAPES)
     def test_derived_metrics_match_collector(self, shape):
-        engine = create_engine(
+        engine = build_engine(
             _bounded_db(), "esr", record_history=True, **shape
         )
         try:
@@ -105,7 +112,7 @@ class TestRecordingParity:
 
     @pytest.mark.parametrize("shape", ENGINE_SHAPES)
     def test_every_transaction_completes_exactly_once(self, shape):
-        engine = create_engine(
+        engine = build_engine(
             _bounded_db(), "esr", record_history=True, **shape
         )
         try:
@@ -131,7 +138,7 @@ class TestRecordingParity:
 
     @pytest.mark.parametrize("shape", ENGINE_SHAPES)
     def test_rejection_pairs_with_one_abort(self, shape):
-        engine = create_engine(
+        engine = build_engine(
             _bounded_db(), "esr", record_history=True, **shape
         )
         try:

@@ -1,12 +1,12 @@
-"""Tests for the process-per-shard engine composite.
+"""Tests for the shard composite's worker-process backend.
 
-What only :class:`~repro.engine.procshard.ProcessShardedEngine` promises
-— worker lifecycle (no orphans, reaping on garbage collection), graceful
+What only :class:`~repro.engine.procshard.WorkerShard` promises —
+worker lifecycle (no orphans, reaping on garbage collection), graceful
 failover when a worker dies mid-run, degradation on hosts where
 processes cannot help, cross-process wait-for edge mirroring for 2PL
 deadlock detection, and the option-validation seams.  Equivalence with
-the thread composite on the full protocol matrix lives in
-``test_sharded.py`` (the ``processes`` parameterisation).
+thread shards on the full protocol matrix lives in ``test_sharded.py``
+(the ``processes`` parameterisation).
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ import pytest
 from repro.core.bounds import TransactionBounds
 from repro.engine.api import create_engine, validate_protocol_options
 from repro.engine.database import Database
-from repro.engine.procshard import (
-    REASON_SHARD_FAILOVER,
-    ProcessShardedEngine,
-    process_sharding_unavailable,
-)
+from repro.engine.procshard import WorkerShard, process_sharding_unavailable
+from repro.engine.reasons import REASON_SHARD_FAILOVER
 from repro.engine.results import Granted, MustWait, Rejected
 from repro.engine.twopl import REASON_DEADLOCK
 from repro.engine.sharded import ShardedEngine
@@ -88,7 +85,8 @@ def _wait_dead(pids, timeout=5.0):
 class TestWorkerLifecycle:
     def test_one_live_worker_per_shard(self, make_engine):
         engine = make_engine(shards=4)
-        assert isinstance(engine, ProcessShardedEngine)
+        assert isinstance(engine, ShardedEngine)
+        assert all(isinstance(shard, WorkerShard) for shard in engine._shards)
         pids = engine.worker_pids()
         assert len(pids) == 4
         assert len(set(pids)) == 4
@@ -198,23 +196,82 @@ class TestFailover:
         assert perf.counters.shard_failovers == before + 1
 
 
+    def test_worker_error_on_complete_fails_the_shard_over(
+        self, monkeypatch
+    ):
+        """A worker that raises while applying a commit has lost the
+        shard's state as surely as one that died: the parent must fail
+        the shard over, not record the commit and carry on with a mirror
+        that never received the shard's values."""
+        from repro import perf
+        from repro.check import check_log
+        from repro.engine import procshard
+        from repro.engine.history import HistoryLog
+
+        doomed = 2  # the second transaction begun below
+        real = procshard._handle_complete
+
+        def flaky(engine, siblings, versions, txn_id, status_value, reason):
+            if txn_id == doomed and 1 in engine.database:  # shard 1
+                raise RuntimeError("promotion failed")
+            return real(engine, siblings, versions, txn_id, status_value, reason)
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(procshard, "_handle_complete", flaky)
+        engine = create_engine(
+            _database(), "esr", shards=2, processes="force", record_history=True
+        )
+        try:
+            monkeypatch.undo()
+            before = perf.counters.shard_failovers
+            ok = engine.begin("update", TransactionBounds(export_limit=1e9))
+            assert isinstance(engine.write(ok, 0, 11.0), Granted)
+            engine.commit(ok)
+            txn = engine.begin("update", TransactionBounds(export_limit=1e9))
+            assert txn.transaction_id == doomed
+            assert isinstance(engine.write(txn, 1, 21.0), Granted)  # shard 1
+            assert isinstance(engine.write(txn, 2, 22.0), Granted)  # shard 0
+            engine.commit(txn)
+            assert engine.failed_shards() == (1,)
+            assert perf.counters.shard_failovers == before + 1
+            # Shard 0 applied its half; shard 1's staged write died with
+            # the state the parent walked away from.
+            assert engine.database.get(2).committed_value == 22.0
+            assert engine.database.get(1).committed_value == 100.0
+            # The shard keeps serving, in-process, over the mirror.
+            retry = engine.begin("update", TransactionBounds(export_limit=1e9))
+            assert engine.read(retry, 0).value == 11.0
+            assert isinstance(engine.write(retry, 1, 31.0), Granted)
+            engine.commit(retry)
+            assert engine.database.get(1).committed_value == 31.0
+            result = check_log(HistoryLog.from_engine(engine))
+            assert result.violations == []
+        finally:
+            engine.close()
+
+
 class TestDegradation:
     def test_single_core_degrades_to_threads(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         engine = create_engine(_database(), "esr", shards=2, processes=True)
         assert isinstance(engine, ShardedEngine)
         assert engine.process_degraded == "single-core"
+        assert engine.worker_pids() == ()
+        assert engine.failed_shards() == ()
+        engine.close()  # a no-op without workers
 
     def test_force_overrides_single_core(self, monkeypatch, make_engine):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         engine = make_engine(shards=2)
-        assert isinstance(engine, ProcessShardedEngine)
+        assert engine.process_degraded is None
+        assert len(engine.worker_pids()) == 2
 
     def test_multi_core_builds_processes(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         engine = create_engine(_database(), "esr", shards=2, processes=True)
         try:
-            assert isinstance(engine, ProcessShardedEngine)
+            assert engine.process_degraded is None
+            assert len(engine.worker_pids()) == 2
         finally:
             engine.close()
 
@@ -243,7 +300,7 @@ class TestValidation:
 
     def test_single_shard_ignores_processes(self):
         engine = create_engine(_database(), "esr", shards=1, processes=True)
-        assert not isinstance(engine, (ShardedEngine, ProcessShardedEngine))
+        assert not isinstance(engine, ShardedEngine)
 
     def test_no_snapshot_cache_surface(self, make_engine):
         engine = make_engine()
@@ -310,80 +367,20 @@ class TestCrossProcessWaits:
 # -- delta sync and the fast channel ------------------------------------------
 
 
-def _drive_stream(engine, seed, objects=8, steps=80):
-    """One deterministic interleaved client stream; returns the trace.
-
-    Mixed update/query transactions advance round-robin-by-rng in a
-    single thread, so two engines fed the same seed execute the exact
-    same operation sequence and must produce the exact same outcomes —
-    the fast delta-synced channel has no semantic headroom over the
-    legacy full-dump one.
-    """
-    import random
-
-    rng = random.Random(seed)
-    active = []
-    trace = []
-    for _ in range(steps):
-        if not active or (len(active) < 3 and rng.random() < 0.3):
-            if rng.random() < 0.5:
-                txn = engine.begin(
-                    "update",
-                    TransactionBounds(export_limit=1e9),
-                    allow_inconsistent_reads=True,
-                )
-                active.append((txn, True))
-                trace.append("begin-update")
-            else:
-                txn = engine.begin(
-                    "query", TransactionBounds(import_limit=1e9)
-                )
-                active.append((txn, False))
-                trace.append("begin-query")
-            continue
-        index = rng.randrange(len(active))
-        txn, is_update = active[index]
-        roll = rng.random()
-        if roll < 0.12:
-            if txn.is_active:
-                engine.commit(txn)
-                trace.append("commit")
-            active.pop(index)
-            continue
-        object_id = rng.randrange(objects)
-        if is_update and rng.random() < 0.5:
-            outcome = engine.write(txn, object_id, rng.random() * 100.0)
-        else:
-            outcome = engine.read(txn, object_id)
-        if isinstance(outcome, Granted):
-            trace.append(
-                (
-                    "granted",
-                    object_id,
-                    getattr(outcome, "value", None),
-                    round(outcome.inconsistency, 9),
-                    outcome.esr_case,
-                )
-            )
-        elif isinstance(outcome, MustWait):
-            trace.append(("mustwait", object_id))
-            if txn.is_active:
-                engine.abort(txn, "stream-blocked")
-            active.pop(index)
-        else:
-            trace.append(("rejected", object_id, outcome.reason))
-            active.pop(index)
-    for txn, _ in active:
-        if txn.is_active:
-            engine.commit(txn)
-            trace.append("commit")
-    return trace
-
-
 class TestDeltaSync:
     def test_fast_is_the_default_channel(self, make_engine):
+        """Every op rides a batch frame — the flat-combining, delta-synced
+        channel is the only one there is."""
+        from repro import perf
+
         engine = make_engine()
-        assert engine.shard_rpc == "fast"
+        before = perf.counters.snapshot()
+        txn = engine.begin("query", TransactionBounds(import_limit=1e9))
+        assert isinstance(engine.read(txn, 0), Granted)
+        engine.commit(txn)
+        after = perf.counters.snapshot()
+        assert after["rpc_ops"] - before["rpc_ops"] == 2
+        assert after["rpc_batched_ops"] - before["rpc_batched_ops"] == 2
 
     def test_sync_tag_mix_none_delta_full(self, make_engine):
         """A cross-shard update sees all three sync-in shapes: full on
@@ -415,24 +412,6 @@ class TestDeltaSync:
         engine.abort(reader, "test-done")
         engine.abort(writer, "test-done")
 
-    @pytest.mark.parametrize("seed", [3, 11, 29])
-    def test_fast_and_legacy_channels_are_equivalent(self, make_engine, seed):
-        """Property check: the same randomized op stream produces
-        identical outcomes and identical final committed state whether
-        account state crosses the channel as deltas or as full dumps."""
-        traces = {}
-        finals = {}
-        for mode in ("fast", "legacy"):
-            db = _database(8)
-            engine = make_engine(database=db, shards=2, shard_rpc=mode)
-            traces[mode] = _drive_stream(engine, seed)
-            finals[mode] = {
-                index: db.get(index).committed_value for index in range(8)
-            }
-            engine.close()
-        assert traces["fast"] == traces["legacy"]
-        assert finals["fast"] == finals["legacy"]
-
     def test_version_skew_triggers_resync_and_recovers(self, make_engine):
         """A parent whose version record lies (claims the worker is
         current when it is not) gets a resync reply, re-sends the full
@@ -443,7 +422,7 @@ class TestDeltaSync:
         txn = engine.begin("update", TransactionBounds(export_limit=1e9))
         assert isinstance(engine.write(txn, 0, 10.0), Granted)
 
-        sync = engine._sync[txn.transaction_id]
+        sync = engine._shards[0].sync[txn]
         sync.version += 5  # a revision the worker has never seen
         sync.shard_versions[0] = sync.version  # ...claimed as delivered
         before = perf.counters.rpc_resyncs
@@ -488,31 +467,6 @@ class TestDeltaSync:
             assert isinstance(outcome, Granted)
             assert outcome.value == expected
         engine.commit(retry)
-
-    def test_legacy_channel_smoke(self, make_engine):
-        from repro import perf
-
-        engine = make_engine(database=_database(4), shards=2, shard_rpc="legacy")
-        before = perf.counters.snapshot()
-        txn = engine.begin("update", TransactionBounds(export_limit=1e9))
-        assert isinstance(engine.write(txn, 0, 7.0), Granted)
-        assert isinstance(engine.read(txn, 1), Granted)
-        engine.commit(txn)
-        after = perf.counters.snapshot()
-        assert engine.database.get(0).committed_value == 7.0
-        assert after["rpc_ops"] > before["rpc_ops"]
-        # The legacy channel never rides batch frames or delta syncs.
-        assert after["rpc_batched_ops"] == before["rpc_batched_ops"]
-        assert after["rpc_sync_delta"] == before["rpc_sync_delta"]
-
-    def test_unknown_shard_rpc_mode_rejected(self):
-        with pytest.raises(SpecificationError):
-            validate_protocol_options("esr", shards=2, shard_rpc="bogus")
-        with pytest.raises(SpecificationError):
-            create_engine(
-                _database(), "esr", shards=2, processes="force",
-                shard_rpc="bogus",
-            )
 
 
 # -- channel hardening ---------------------------------------------------------
@@ -577,7 +531,7 @@ class TestChannelHardening:
         from repro.errors import ProtocolError
 
         engine = make_engine(database=_database(4), shards=2)
-        channel = engine._channels[0]
+        channel = engine._shards[0].channel
         with channel.lock:
             _send_frame(channel.sock, _FT_BATCH, b"x" * (MAX_FRAME_BYTES + 64))
             ftype, payload = _recv_typed(channel.sock, shard=0, pending=1)
@@ -604,7 +558,7 @@ class TestChannelHardening:
         from repro.errors import ProtocolError
 
         engine = make_engine(database=_database(4), shards=2)
-        channel = engine._channels[0]
+        channel = engine._shards[0].channel
         with channel.lock:
             _send_frame(channel.sock, 0x7A, b"?")
             ftype, payload = _recv_typed(channel.sock, shard=0, pending=1)
@@ -628,7 +582,7 @@ class TestBatching:
         from repro import perf
 
         engine = make_engine(database=_database(8), shards=2)
-        channel = engine._channels[0]
+        channel = engine._shards[0].channel
         txns = [
             engine.begin("query", TransactionBounds(import_limit=1e9))
             for _ in range(6)

@@ -42,6 +42,8 @@ from repro.engine.transactions import TransactionStatus
 from repro.engine.twopl import TwoPhaseManager
 from repro.errors import SpecificationError
 
+from .topology import TOPOLOGIES, build_engine
+
 
 def _database(n_objects: int = 12, value: float = 1_000.0) -> Database:
     db = Database()
@@ -50,12 +52,12 @@ def _database(n_objects: int = 12, value: float = 1_000.0) -> Database:
     return db
 
 
-# The shard composites come in two flavours — threads and worker
-# processes — behind the same Engine seam; everything in this module
-# that drives a composite runs against both.  On hosts without fork the
-# "processes" flavour transparently degrades to the thread composite
-# (so the parameterisation never skips, it just runs threads twice).
-@pytest.fixture(params=[False, "force"], ids=["threads", "processes"])
+# The one shard composite runs on three topologies — thread shards,
+# worker-process shards, and worker-process shards with shard 0 failed
+# over (an in-process backend inside a worker-backed composite);
+# everything in this module that drives a composite runs against all
+# three.
+@pytest.fixture(params=list(TOPOLOGIES.values()), ids=list(TOPOLOGIES))
 def proc_mode(request):
     return request.param
 
@@ -65,15 +67,13 @@ def make_engine():
     created: list = []
 
     def make(database, protocol, **kwargs):
-        engine = create_engine(database, protocol, **kwargs)
+        engine = build_engine(database, protocol, **kwargs)
         created.append(engine)
         return engine
 
     yield make
     for engine in created:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -517,31 +517,16 @@ class TestSelfFireBackoff:
         # waiter's object lives) stays pending behind it, so retries see
         # a blocker that is gone from the active map but not yet done.
         entered = threading.Event()
-        if isinstance(engine, ShardedEngine):
-            inner = engine._engines[0]
-            original_complete = inner.complete
+        backend = engine._shards[0]
+        original_complete = backend.complete
 
-            def slow_complete(txn, status, reason=None):
-                if txn.transaction_id == writer.transaction_id:
-                    entered.set()
-                    time.sleep(0.15)
-                return original_complete(txn, status, reason)
+        def slow_complete(txn, status, reason):
+            if txn.transaction_id == writer.transaction_id:
+                entered.set()
+                time.sleep(0.15)
+            return original_complete(txn, status, reason)
 
-            inner.complete = slow_complete
-        else:
-            channel = engine._channels[0]
-            original_request = channel.request
-
-            def slow_request(frame):
-                if (
-                    frame[0] == "complete"
-                    and frame[1] == writer.transaction_id
-                ):
-                    entered.set()
-                    time.sleep(0.15)
-                return original_request(frame)
-
-            channel.request = slow_request
+        backend.complete = slow_complete
 
         query = engine.begin("query", TransactionBounds(import_limit=0.0))
         committer = threading.Thread(target=engine.commit, args=(writer,))

@@ -223,3 +223,83 @@ class TestConcurrentClients:
                 server.manager.database.get(site).committed_value
                 == site * 100.0 + 5
             )
+
+
+class TestSessionMapDoesNotLeak:
+    """A server-aborted transaction leaves the connection's session map
+    the moment the engine finishes it — rejected, wait-timed-out, or
+    rejected on a retry — not when the client eventually disconnects."""
+
+    @pytest.fixture(
+        params=["threaded", "async", "threaded-sharded", "async-sharded"]
+    )
+    def impatient(self, request):
+        """A live server with a short wait timeout, plus its session maps."""
+        db = _database()
+        shards = 4 if request.param.endswith("-sharded") else 1
+        if request.param.startswith("threaded"):
+            srv = serve_forever(db, shards=shards, wait_timeout=0.05)
+            # The threaded server keeps each map on its handler's stack;
+            # dispatch is where every one of them passes by.
+            maps: list[dict] = []
+            dispatch = srv.dispatch
+
+            def watching(message, sessions):
+                if not any(sessions is seen for seen in maps):
+                    maps.append(sessions)
+                return dispatch(message, sessions)
+
+            srv.dispatch = watching
+            yield srv, lambda: maps
+            srv.shutdown()
+            srv.server_close()
+        else:
+            handle = serve_async(db, shards=shards, wait_timeout=0.05)
+            yield handle, lambda: [
+                conn.sessions for conn in handle.server._connections
+            ]
+            handle.shutdown()
+
+    def test_server_aborted_transactions_leave_the_map(self, impatient):
+        from repro.engine.timestamps import Timestamp
+        from repro.net.protocol import recv_message, send_message
+
+        server, session_maps = impatient
+        with RemoteConnection("127.0.0.1", server.port, site=1) as conn:
+            with RemoteConnection("127.0.0.1", server.port, site=2) as other:
+                # A pending newer query read makes every older TEL=0
+                # write a late write it cannot export: rejected.
+                query = other.begin("query", 0.0, timestamp=Timestamp(2.0, 2, 0))
+                query.read(3)
+                stale = None
+                for i in range(200):
+                    stale = conn.begin(
+                        "update",
+                        TransactionBounds(0, 0),
+                        timestamp=Timestamp(1.0 + i / 1000, 1, 0),
+                    )
+                    with pytest.raises(TransactionAborted):
+                        stale.write(3, 1.0)
+                query.commit()
+                # An uncommitted write nobody finishes: zero-bound reads
+                # park behind it and time out.
+                blocker = other.begin("update", TransactionBounds(0, 0))
+                blocker.write(9, 950.0)
+                for _ in range(3):
+                    waiter = conn.begin("query", 0.0)
+                    with pytest.raises(TransactionAborted) as excinfo:
+                        waiter.read(9)
+                    assert excinfo.value.reason == "wait-timeout"
+                blocker.abort()
+                # Both connections are still open; nothing may be left.
+                maps = session_maps()
+                assert len(maps) == 2
+                assert all(len(sessions) == 0 for sessions in maps)
+                assert server.manager.active_transactions() == ()
+                # The dead id answers like any other finished one.
+                for op in ("read", "abort"):
+                    send_message(
+                        conn._sock, {"op": op, "txn": stale.txn_id, "object": 3}
+                    )
+                    response = recv_message(conn._reader)
+                    assert response["error"] == "unknown-transaction"

@@ -98,6 +98,27 @@ class TestHotpathSuite:
         comparison = hotpath.format_comparison(loaded, report)
         assert "1.00x" in comparison
 
+    def test_shard_channel_traffic_is_pinned(self):
+        """The seeded sequential phase of ``procshard_rpc`` is a bit-exact
+        oracle for what crosses the parent↔worker socketpair: refactors
+        of the shard composite must not move a byte of it."""
+        figure = hotpath.run_procshard_rpc(
+            hotpath.ProcshardRpcConfig(threads=0)  # sequential phase only
+        )
+        if figure is None:
+            return  # no fork on this platform
+        assert figure["bytes_per_op"] == 134.1
+        assert figure["round_trips_per_txn"] == 104.0
+        assert (
+            figure["sync_full"],
+            figure["sync_delta"],
+            figure["sync_none"],
+        ) == (32, 264, 504)
+        assert (figure["rpc_bytes_sent"], figure["rpc_bytes_received"]) == (
+            74457,
+            37075,
+        )
+
     def test_missing_or_bad_baseline_is_none(self, tmp_path):
         assert hotpath.load_baseline(tmp_path / "nope.json") is None
         bad = tmp_path / "bad.json"
