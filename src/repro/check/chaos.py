@@ -216,10 +216,19 @@ def _pipelined_writes(connection, txn, objects, rng: random.Random) -> None:
 
 
 def _kill_workers(manager, count: int, rng: random.Random) -> int:
-    """SIGKILL ``count`` shard workers, pausing for failover between."""
+    """SIGKILL up to ``count`` shard workers, pausing for failover between.
+
+    A failed-over shard has no worker (``worker_pids()`` reports None
+    for it), so the victims are drawn from the live pids only and the
+    killing stops once none is left.
+    """
     kills = 0
     for _ in range(count):
-        pids = list(getattr(manager, "worker_pids", lambda: ())())
+        pids = [
+            pid
+            for pid in getattr(manager, "worker_pids", lambda: ())()
+            if pid is not None
+        ]
         if not pids:
             break
         victim = rng.choice(pids)

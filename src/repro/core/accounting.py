@@ -112,6 +112,10 @@ class InconsistencyAccount:
         """
         self._lock = lock
 
+    def declared_group_limits(self) -> dict[str, float] | None:
+        """The group limits this account was opened with, root left out."""
+        return self._ledger.declared_group_limits()
+
     # -- admission ---------------------------------------------------------
 
     def admit(

@@ -289,6 +289,19 @@ class HierarchyLedger:
         """Inconsistency accumulated at the transaction level so far."""
         return self._usage[ROOT_GROUP]
 
+    def declared_group_limits(self) -> dict[str, float] | None:
+        """The BEGIN-time group limits as a new mapping (None when none).
+
+        The root entry is the transaction limit and is not included.
+        """
+        if len(self._limits) == 1:
+            return None
+        return {
+            group: limit
+            for group, limit in self._limits.items()
+            if group != ROOT_GROUP
+        }
+
     def limit_of(self, level: str) -> float:
         """Declared limit at ``level`` (``inf`` when unbounded)."""
         return self._limits.get(level, UNBOUNDED)

@@ -7,14 +7,17 @@ directly.  The recorder *derives* the metrics from the reported events —
 one choke point produces both — so the figure-level totals and the
 recorded history can never disagree.
 
-Recording is off by default and costs nothing but the derivation call:
-the recorder only materialises :class:`HistoryEvent` objects when
-``record=True`` (one ``None`` check per operation otherwise).  When
-enabled, each event carries what the offline conformance checker
-(:mod:`repro.check`) needs to replay it against a fresh ledger: the ESR
-case and inconsistency charge, the shard that executed it, the begin-time
-bound declarations, commit-time imported/exported divergence, and both a
-wall-clock and the transaction's logical timestamp.
+Recording is off by default and costs nothing but the derivation call
+(one ``None`` check per operation otherwise).  When enabled, each hook
+appends one compact positional row — only the fields that kind of
+decision carries — and :class:`HistoryEvent` objects, the public and
+serialised view, are built from the rows when the history is *read*
+(:meth:`HistoryRecorder.events`).  An event carries what the offline
+conformance checker (:mod:`repro.check`) needs to replay it against a
+fresh ledger: the ESR case and inconsistency charge, the shard that
+executed it, the begin-time bound declarations, commit-time
+imported/exported divergence, and both a wall-clock and the
+transaction's logical timestamp.
 
 Sharding notes:
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.hierarchy import ROOT_GROUP
 from repro.engine.metrics import MetricsCollector
@@ -198,21 +201,94 @@ class HistoryEvent:
         )
 
 
+# -- the stored rows -----------------------------------------------------------
+#
+# The record path stores one positional tuple per decision and nothing
+# else: ``(kind, txn, wall, ts, shard)`` followed by the fields that kind
+# carries, in the order below.  :func:`_materialise` is the only reader.
+#
+#   begin   kind*, import_limit, export_limit, group_limits, object_limits,
+#           allow_inconsistent_reads
+#   read    object_id, value [, esr_case, inconsistency [, cached]]
+#   write   object_id, value [, esr_case, inconsistency]
+#   wait    object_id, op, blocking
+#   reject  object_id, op, reason, detail, violated_level
+#   commit  kind*, imported, exported
+#   abort   kind*, reason
+#
+# A read or write that charged nothing — most of them — stops after
+# ``value``; the bracketed tail is there when an ESR case admitted the
+# operation or the snapshot cache served it.  ``kind*`` is the
+# ``TransactionKind`` member (its ``.value`` is looked up when the event
+# is materialised); ``ts`` and the values are the objects the engine
+# already holds, so a row allocates the tuple and its ``wall`` float —
+# plus, on a begin that declares them, its own copy of the group and
+# object limits.  A tuple of atoms leaves cyclic-GC tracking at its
+# first collection, which an event object with 23 slots never does.
+
+
+def _materialise(row: tuple) -> HistoryEvent:
+    """The :class:`HistoryEvent` one stored row stands for."""
+    kind = row[0]
+    if kind == EVENT_READ or kind == EVENT_WRITE:
+        if len(row) == 7:
+            _, txn, wall, ts, shard, object_id, value = row
+            return HistoryEvent(kind, txn, wall, ts, None, shard, object_id, value)
+        # The tail is esr_case, inconsistency[, cached]: the constructor's
+        # next positional fields.
+        return HistoryEvent(kind, row[1], row[2], row[3], None, row[4], *row[5:])
+    if kind == EVENT_BEGIN:
+        (
+            _, txn, wall, ts, shard, txn_kind, import_limit, export_limit,
+            group_limits, object_limits, allow_inconsistent_reads,
+        ) = row
+        return HistoryEvent(
+            kind, txn, wall, ts, txn_kind.value, shard,
+            import_limit=import_limit,
+            export_limit=export_limit,
+            group_limits=group_limits,
+            object_limits=object_limits,
+            allow_inconsistent_reads=allow_inconsistent_reads,
+        )
+    if kind == EVENT_COMMIT:
+        _, txn, wall, ts, shard, txn_kind, imported, exported = row
+        return HistoryEvent(
+            kind, txn, wall, ts, txn_kind.value, shard,
+            imported=imported, exported=exported,
+        )
+    if kind == EVENT_ABORT:
+        _, txn, wall, ts, shard, txn_kind, reason = row
+        return HistoryEvent(
+            kind, txn, wall, ts, txn_kind.value, shard, reason=reason
+        )
+    if kind == EVENT_WAIT:
+        _, txn, wall, ts, shard, object_id, op, blocking = row
+        return HistoryEvent(
+            kind, txn, wall, ts, None, shard, object_id, op=op, blocking=blocking
+        )
+    _, txn, wall, ts, shard, object_id, op, reason, detail, violated_level = row
+    return HistoryEvent(
+        kind, txn, wall, ts, None, shard, object_id,
+        op=op, reason=reason, detail=detail, violated_level=violated_level,
+    )
+
+
 class HistoryRecorder:
     """The single recording entry point engines report events through.
 
     Derives the :class:`MetricsCollector` totals from the reported
-    events and, when ``record=True``, appends a :class:`HistoryEvent`
-    per report.  With recording off the event branch is one ``is None``
-    check — the metrics derivation is the same work the engines used to
-    do inline.
+    events and, when ``record=True``, appends one compact row per report
+    (layouts above).  With recording off the event branch is one
+    ``is None`` check — the metrics derivation is the same work the
+    engines used to do inline.  :class:`HistoryEvent` objects come into
+    being only in :meth:`events`, when somebody reads the history.
 
     Thread-safety matches the metrics collector it wraps: the sharded
-    composite hands in its lock-wrapped collector, and event appends are
-    single ``list.append`` calls (atomic under the GIL).
+    composite hands in its lock-wrapped collector, and every event goes
+    in with a single ``list.append`` call (atomic under the GIL).
     """
 
-    __slots__ = ("metrics", "clock", "_events")
+    __slots__ = ("metrics", "clock", "_rows")
 
     def __init__(
         self,
@@ -224,29 +300,35 @@ class HistoryRecorder:
         #: Supplies the ``wall`` field of recorded events; the DES
         #: simulator points this at the simulated clock.
         self.clock = clock
-        self._events: list[HistoryEvent] | None = [] if record else None
+        self._rows: list[tuple] | None = [] if record else None
 
     # -- introspection -------------------------------------------------------
 
     @property
     def recording(self) -> bool:
-        return self._events is not None
+        return self._rows is not None
 
     def events(self) -> tuple[HistoryEvent, ...]:
-        """The events recorded so far (empty when recording is off)."""
-        if self._events is None:
+        """The events recorded so far (empty when recording is off).
+
+        Materialised from the stored rows on every call; the snapshot of
+        the list is taken first, so shards may keep appending meanwhile.
+        """
+        if self._rows is None:
             return ()
-        return tuple(self._events)
+        return tuple(map(_materialise, tuple(self._rows)))
 
     def reset(self) -> None:
         """Zero the derived metrics and drop recorded events together.
 
         Measurement phases reset through this (not ``metrics.reset()``)
         so the history never describes more work than the counters.
+        Rows are self-contained, so transactions open across a reset
+        still yield complete events afterwards.
         """
         self.metrics.reset()
-        if self._events is not None:
-            self._events.clear()
+        if self._rows is not None:
+            self._rows.clear()
 
     def for_shard(self, shard: int) -> "_ShardRecorder":
         """A view that tags every reported event with ``shard``."""
@@ -255,23 +337,23 @@ class HistoryRecorder:
     # -- recording hooks (one per engine decision) ---------------------------
 
     def begin(self, txn: "TransactionState", shard: int | None = None) -> None:
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        group_limits = _declared_group_limits(txn)
-        events.append(
-            HistoryEvent(
-                kind=EVENT_BEGIN,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                txn_kind=txn.kind.value,
-                shard=shard,
-                import_limit=txn.bounds.import_limit,
-                export_limit=txn.bounds.export_limit,
-                group_limits=group_limits,
-                object_limits=dict(txn.object_limits) if txn.object_limits else None,
-                allow_inconsistent_reads=txn.import_account is not None
+        bounds = txn.bounds
+        rows.append(
+            (
+                EVENT_BEGIN,
+                txn.transaction_id,
+                self.clock(),
+                txn.timestamp,
+                shard,
+                txn.kind,
+                bounds.import_limit,
+                bounds.export_limit,
+                txn.account.declared_group_limits(),
+                dict(txn.object_limits) if txn.object_limits else None,
+                txn.import_account is not None
                 and txn.import_account is not txn.account,
             )
         )
@@ -285,23 +367,24 @@ class HistoryRecorder:
         shard: int | None = None,
     ) -> None:
         self.metrics.record_read(outcome.esr_case)
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_READ,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                shard=shard,
-                object_id=object_id,
-                value=outcome.value,
-                esr_case=outcome.esr_case,
-                inconsistency=outcome.inconsistency,
-                cached=cached,
-            )
+        row = (
+            EVENT_READ,
+            txn.transaction_id,
+            self.clock(),
+            txn.timestamp,
+            shard,
+            object_id,
+            outcome.value,
         )
+        charge = outcome.inconsistency
+        if cached:
+            row += (outcome.esr_case, charge, True)
+        elif charge or outcome.esr_case is not None:
+            row += (outcome.esr_case, charge)
+        rows.append(row)
 
     def write(
         self,
@@ -312,22 +395,22 @@ class HistoryRecorder:
         shard: int | None = None,
     ) -> None:
         self.metrics.record_write(outcome.esr_case)
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_WRITE,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                shard=shard,
-                object_id=object_id,
-                value=value,
-                esr_case=outcome.esr_case,
-                inconsistency=outcome.inconsistency,
-            )
+        row = (
+            EVENT_WRITE,
+            txn.transaction_id,
+            self.clock(),
+            txn.timestamp,
+            shard,
+            object_id,
+            value,
         )
+        charge = outcome.inconsistency
+        if charge or outcome.esr_case is not None:
+            row += (outcome.esr_case, charge)
+        rows.append(row)
 
     def wait(
         self,
@@ -338,19 +421,19 @@ class HistoryRecorder:
         shard: int | None = None,
     ) -> None:
         self.metrics.record_wait()
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_WAIT,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                shard=shard,
-                object_id=object_id,
-                op=op,
-                blocking=blocking,
+        rows.append(
+            (
+                EVENT_WAIT,
+                txn.transaction_id,
+                self.clock(),
+                txn.timestamp,
+                shard,
+                object_id,
+                op,
+                blocking,
             )
         )
 
@@ -363,21 +446,21 @@ class HistoryRecorder:
         shard: int | None = None,
     ) -> None:
         self.metrics.record_rejection()
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_REJECT,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                shard=shard,
-                object_id=object_id,
-                op=op,
-                reason=outcome.reason,
-                detail=outcome.detail or None,
-                violated_level=outcome.violated_level,
+        rows.append(
+            (
+                EVENT_REJECT,
+                txn.transaction_id,
+                self.clock(),
+                txn.timestamp,
+                shard,
+                object_id,
+                op,
+                outcome.reason,
+                outcome.detail or None,
+                outcome.violated_level,
             )
         )
 
@@ -393,19 +476,19 @@ class HistoryRecorder:
         if exported is None:
             exported = txn.exported
         self.metrics.record_commit(txn.is_query, imported, exported)
-        events = self._events
-        if events is None:
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_COMMIT,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                txn_kind=txn.kind.value,
-                shard=shard,
-                imported=imported,
-                exported=exported,
+        rows.append(
+            (
+                EVENT_COMMIT,
+                txn.transaction_id,
+                self.clock(),
+                txn.timestamp,
+                shard,
+                txn.kind,
+                imported,
+                exported,
             )
         )
 
@@ -415,42 +498,22 @@ class HistoryRecorder:
         reason: str | None,
         shard: int | None = None,
     ) -> None:
-        self.metrics.record_abort(reason or REASON_UNKNOWN)
-        events = self._events
-        if events is None:
+        reason = reason or REASON_UNKNOWN
+        self.metrics.record_abort(reason)
+        rows = self._rows
+        if rows is None:
             return
-        events.append(
-            HistoryEvent(
-                kind=EVENT_ABORT,
-                txn=txn.transaction_id,
-                wall=self.clock(),
-                ts=txn.timestamp,
-                txn_kind=txn.kind.value,
-                shard=shard,
-                reason=reason or REASON_UNKNOWN,
+        rows.append(
+            (
+                EVENT_ABORT,
+                txn.transaction_id,
+                self.clock(),
+                txn.timestamp,
+                shard,
+                txn.kind,
+                reason,
             )
         )
-
-
-def _declared_group_limits(txn: "TransactionState") -> dict[str, float] | None:
-    """The group limits a transaction declared at BEGIN, if any.
-
-    Recovered from the account's ledger (the single place they live);
-    the root entry is the transaction limit, which begin events carry
-    separately as ``import_limit``/``export_limit``.
-    """
-    ledger = getattr(txn.account, "_ledger", None)
-    if ledger is None:
-        return None
-    declared = ledger._limits
-    if not declared or (len(declared) == 1 and ROOT_GROUP in declared):
-        return None  # only the root entry — nothing beyond the txn limit
-    limits = {
-        group: limit
-        for group, limit in declared.items()
-        if group != ROOT_GROUP
-    }
-    return limits or None
 
 
 class _ShardRecorder:
@@ -536,21 +599,24 @@ class HistoryLog:
 
     # -- (de)serialisation ---------------------------------------------------
 
+    def _lines(self) -> Iterator[str]:
+        """Header, then one event per line, each newline-terminated.
+
+        ``json.dumps`` per line, never ``json.dump(obj, fp)``: the latter
+        walks the object in the pure-Python encoder, at over twice the
+        time for the same bytes.
+        """
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        yield encode(self.header) + "\n"
+        for event in self.events:
+            yield encode(event.to_dict()) + "\n"
+
     def dump(self, fp: IO[str]) -> None:
         """Write header + one event per line as JSON lines."""
-        json.dump(self.header, fp, separators=(",", ":"))
-        fp.write("\n")
-        for event in self.events:
-            json.dump(event.to_dict(), fp, separators=(",", ":"))
-            fp.write("\n")
+        fp.writelines(self._lines())
 
     def dumps(self) -> str:
-        lines = [json.dumps(self.header, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(event.to_dict(), separators=(",", ":"))
-            for event in self.events
-        )
-        return "\n".join(lines) + "\n"
+        return "".join(self._lines())
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fp:

@@ -103,7 +103,7 @@ from collections import deque
 from repro.core.metric import DistanceFunction
 from repro.engine.api import build_unsharded, protocol_spec
 from repro.engine.database import Database
-from repro.engine.history import HistoryRecorder, _declared_group_limits
+from repro.engine.history import HistoryRecorder
 from repro.engine.results import (
     CASE_LATE_READ,
     CASE_LATE_WRITE,
@@ -966,7 +966,7 @@ class _TxnSync:
             "kind": txn.kind.value,
             "timestamp": txn.timestamp,
             "bounds": txn.bounds,
-            "group_limits": _declared_group_limits(txn),
+            "group_limits": txn.account.declared_group_limits(),
             "object_limits": dict(txn.object_limits) or None,
             "allow_inconsistent_reads": txn.is_update and _has_import(txn),
         }

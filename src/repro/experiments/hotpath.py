@@ -2,8 +2,9 @@
 
 A handful of micro-workloads exercise exactly the code every simulated
 operation passes through — zero-delay event dispatch, heap-scheduled
-timeouts, FIFO resource churn, the hierarchy ledger walk, and the group
-member index — plus one *smoke figure*: a single representative
+timeouts, FIFO resource churn, the hierarchy ledger walk, the group
+member index, and the history recorder's hooks with recording on and
+off — plus one *smoke figure*: a single representative
 :func:`~repro.sim.system.run_simulation` call timed wall-clock.  The
 suite writes/compares ``BENCH_hotpath.json`` so every future change to
 the kernel or the admission path has a perf trajectory to answer to.
@@ -27,7 +28,9 @@ from typing import Callable
 
 from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
-from repro.engine.results import Granted
+from repro.engine.api import create_engine
+from repro.engine.database import Database
+from repro.engine.results import Granted, Rejected
 from repro.perf import counters as _perf
 from repro.sim.des import Engine, Event, Resource, Timeout
 from repro.sim.system import SimulationConfig, run_simulation
@@ -143,6 +146,48 @@ def catalog_members_workload(calls: int = 2000, objects: int = 2000) -> Callable
     return run
 
 
+#: Events one round of :func:`history_record_workload` reports.
+HISTORY_EVENTS_PER_ROUND = 18
+
+
+def history_record_workload(
+    record: bool, rounds: int = 2000
+) -> Callable[[], None]:
+    """The seven recorder hooks on a live manager, in a replay-like mix.
+
+    One round is a transaction's worth of decisions — a begin, ten reads
+    (one ESR-admitted), three writes, a wait, a rejection, a commit and
+    an abort — reported straight to the engine's recorder, so the figure
+    is the cost of the history seam alone: with ``record`` off, the
+    metrics derivation; with it on, that plus one stored row per event.
+    """
+    plain = Granted(value=5.0)
+    charged = Granted(
+        value=5.0, inconsistency=2.5, esr_case="late-read-committed"
+    )
+    refused = Rejected("bound-violation", "over the limit", "<transaction>")
+
+    def run() -> None:
+        database = Database()
+        database.create_object(3, 5.0)
+        manager = create_engine(database, "esr", record_history=record)
+        txn = manager.begin("update", TransactionBounds(0.0, 50.0))
+        recorder = manager.recorder
+        for _ in range(rounds):
+            recorder.begin(txn)
+            for _ in range(9):
+                recorder.read(txn, 3, plain)
+            recorder.read(txn, 3, charged)
+            for _ in range(3):
+                recorder.write(txn, 3, 5.0, plain)
+            recorder.wait(txn, "read", 3, 7)
+            recorder.rejection(txn, "read", 3, refused)
+            recorder.commit(txn, 0.0, 0.0)
+            recorder.abort(txn, "client-abort")
+
+    return run
+
+
 @dataclass(frozen=True)
 class MicroBench:
     """One micro-workload: a builder plus its operation count per call."""
@@ -159,6 +204,18 @@ MICRO_BENCHES: tuple[MicroBench, ...] = (
     MicroBench("resource_churn", resource_churn_workload, 40 * 500, "acquire-release"),
     MicroBench("ledger_charge", ledger_charge_workload, 200 * 100, "charges"),
     MicroBench("catalog_members", catalog_members_workload, 2000, "calls"),
+    MicroBench(
+        "history_record",
+        lambda: history_record_workload(record=True),
+        2000 * HISTORY_EVENTS_PER_ROUND,
+        "events",
+    ),
+    MicroBench(
+        "history_record_off",
+        lambda: history_record_workload(record=False),
+        2000 * HISTORY_EVENTS_PER_ROUND,
+        "events",
+    ),
 )
 
 
@@ -237,8 +294,6 @@ def run_procshard_rpc(config: ProcshardRpcConfig | None = None) -> dict | None:
     deterministic sequential phase — or ``None`` where process sharding
     is unavailable (no ``fork``).
     """
-    from repro.engine.api import create_engine
-    from repro.engine.database import Database
     from repro.engine.procshard import process_sharding_unavailable
 
     if process_sharding_unavailable() == "no-fork":

@@ -119,6 +119,7 @@ def submit_request(
 ) -> dict[str, Any] | NeedsWait:
     """Execute one request; never blocks (waits surface as NeedsWait)."""
     op = message.get("op")
+    txn = None
     try:
         if op in ("read", "write", "commit", "abort"):
             txn = sessions.get(message.get("txn", -1))
@@ -165,6 +166,9 @@ def submit_request(
             "detail": f"unknown operation {op!r}",
         }
     except (InvalidOperation, UnknownObjectError) as exc:
+        if txn is not None and not txn.is_active:
+            # Finished behind the client's back (shard failover).
+            sessions.pop(txn.transaction_id, None)
         return {"ok": False, "error": "invalid", "detail": str(exc)}
     except (KeyError, TypeError, ValueError) as exc:
         return {"ok": False, "error": "bad-request", "detail": str(exc)}

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+import signal
+
 import pytest
 
-from repro.check import ChaosConfig, check_log, run_chaos
+from repro.check import ChaosConfig, chaos, check_log, run_chaos
 from repro.engine.procshard import process_sharding_unavailable
 
 
@@ -60,3 +63,29 @@ class TestChaosSmoke:
     def test_unknown_server_kind_is_rejected(self):
         with pytest.raises(ValueError):
             run_chaos(ChaosConfig(server="carrier-pigeon"))
+
+
+class TestKillWorkers:
+    def test_failed_over_shards_are_never_picked(self, monkeypatch):
+        """A failed-over shard reports ``None`` for its pid: the victim
+        comes from the live pids, and the killing stops when none is left
+        (a ``None`` used to reach ``os.kill`` and raise ``TypeError``)."""
+
+        class Manager:
+            def __init__(self):
+                self.answers = [(None, 4242), (None, None)]
+
+            def worker_pids(self):
+                return self.answers.pop(0)
+
+        killed = []
+
+        def kill(pid, sig):
+            if not isinstance(pid, int):  # as the real os.kill does
+                raise TypeError(f"an integer is required, got {pid!r}")
+            killed.append((pid, sig))
+
+        monkeypatch.setattr(chaos.os, "kill", kill)
+        monkeypatch.setattr(chaos.time, "sleep", lambda seconds: None)
+        assert chaos._kill_workers(Manager(), 3, random.Random(0)) == 1
+        assert killed == [(4242, signal.SIGKILL)]

@@ -13,6 +13,9 @@ through, so two invariants are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import io
 from collections import Counter
 
 import pytest
@@ -24,12 +27,13 @@ from repro.engine.history import (
     EVENT_ABORT,
     EVENT_COMMIT,
     EVENT_REJECT,
+    HistoryEvent,
     HistoryLog,
     derive_metrics,
 )
 from repro.engine.procshard import process_sharding_unavailable
 from repro.engine.reasons import REASON_CLIENT_ABORT, REJECTION_REASONS
-from repro.engine.results import Granted, Rejected
+from repro.engine.results import Granted, MustWait, Rejected
 
 from .topology import build_engine
 
@@ -43,8 +47,14 @@ def _bounded_db(n: int = 8) -> Database:
     return db
 
 
-def _run_mixed_load(engine) -> None:
-    """Commits, client aborts, and an ESR rejection, deterministically."""
+def _run_mixed_load(engine, extended: bool = False) -> None:
+    """Commits, client aborts, and an ESR rejection, deterministically.
+
+    ``extended`` adds the event shapes the basic load lacks — a begin
+    that declares the whole bound hierarchy, a wait, an ESR-admitted
+    read and a snapshot-cached one (needs :func:`_grouped_db`) — and
+    runs on every protocol, so it asserts no outcome: the byte pins do.
+    """
     # Plain committed update and query.
     t1 = engine.begin("update", TransactionBounds(0.0, 50.0))
     assert isinstance(engine.write(t1, 0, 123.0), Granted)
@@ -64,7 +74,38 @@ def _run_mixed_load(engine) -> None:
     engine.write(writer, 2, 999.0)
     engine.commit(writer)
     outcome = engine.read(strict, 2)
-    assert isinstance(outcome, Rejected)
+    if not extended:
+        assert isinstance(outcome, Rejected)
+        return
+    if not isinstance(outcome, Rejected):
+        engine.abort(strict)  # granted under 2PL and MVTO
+    lax = engine.begin("query", TransactionBounds(1e6, 0.0))
+    declared = engine.begin(
+        "update",
+        TransactionBounds(25.0, 75.0),
+        group_limits={"hot": 40.0},
+        object_limits={3: 5.0},
+        allow_inconsistent_reads=True,
+    )
+    engine.write(declared, 3, 402.5)
+    waiter = engine.begin("update", TransactionBounds(0.0, 10.0))
+    parked = engine.read(waiter, 3)
+    engine.commit(declared)
+    if isinstance(parked, MustWait):
+        engine.read(waiter, 3)
+    engine.commit(waiter)
+    # A late read of the committed write: ESR case 1 where relaxed.
+    if not isinstance(engine.read(lax, 3), Rejected):
+        if engine.read_cached(lax, 0) is None:
+            engine.read(lax, 0)
+        engine.commit(lax)
+
+
+def _grouped_db() -> Database:
+    db = _bounded_db()
+    db.catalog.add_group("hot")
+    db.catalog.assign(3, "hot")
+    return db
 
 
 def _completion_events(events) -> dict[int, Counter]:
@@ -217,3 +258,142 @@ class TestRecorderBasics:
             if e.kind == "write"
         }
         assert shards == {0, 1}
+
+
+def _pinned_history(protocol: str, shape: dict) -> HistoryLog:
+    """The extended load's history under a clock fixed at zero."""
+    options = dict(shape)
+    if protocol == "esr" and not options.get("processes"):
+        options["snapshot_cache"] = True
+    engine = build_engine(
+        _grouped_db(), protocol, record_history=True, **options
+    )
+    engine.recorder.clock = lambda: 0.0
+    try:
+        _run_mixed_load(engine, extended=True)
+        return HistoryLog.from_engine(engine)
+    finally:
+        close = getattr(engine, "close", None)
+        if close:
+            close()
+
+
+def _event(kind, txn, **fields) -> HistoryEvent:
+    """Transaction ``n`` of the load has timestamp ``(n - 1, 0, n)``."""
+    return HistoryEvent(
+        kind=kind, txn=txn, wall=0.0, ts=(txn - 1.0, 0, txn), **fields
+    )
+
+
+#: The extended load on two thread shards (even objects on shard 0),
+#: field by field; the unsharded engine records the same with no shard.
+_SHARDED_EVENTS = [
+    _event("begin", 1, txn_kind="update", import_limit=0.0, export_limit=50.0),
+    _event("write", 1, shard=0, object_id=0, value=123.0),
+    _event("commit", 1, txn_kind="update", imported=0.0, exported=0.0),
+    _event("begin", 2, txn_kind="query", import_limit=50.0, export_limit=0.0),
+    _event("read", 2, shard=0, object_id=0, value=123.0),
+    _event("commit", 2, txn_kind="query", imported=0.0, exported=0.0),
+    _event("begin", 3, txn_kind="update", import_limit=0.0, export_limit=0.0),
+    _event("write", 3, shard=1, object_id=1, value=7.0),
+    _event("abort", 3, txn_kind="update", reason="client-abort"),
+    _event("begin", 4, txn_kind="query", import_limit=0.0, export_limit=0.0),
+    _event("begin", 5, txn_kind="update", import_limit=0.0, export_limit=1e9),
+    _event("write", 5, shard=0, object_id=2, value=999.0),
+    _event("commit", 5, txn_kind="update", imported=0.0, exported=0.0),
+    _event(
+        "reject", 4, shard=0, object_id=2, op="read", reason="bound-violation",
+        detail=(
+            "late read of object 2 carries inconsistency 699 past the "
+            "<transaction> limit"
+        ),
+        violated_level="<transaction>",
+    ),
+    _event("abort", 4, txn_kind="query", shard=0, reason="bound-violation"),
+    _event("begin", 6, txn_kind="query", import_limit=1e6, export_limit=0.0),
+    _event(
+        "begin", 7, txn_kind="update", import_limit=25.0, export_limit=75.0,
+        group_limits={"hot": 40.0}, object_limits={3: 5.0},
+        allow_inconsistent_reads=True,
+    ),
+    _event("write", 7, shard=1, object_id=3, value=402.5),
+    _event("begin", 8, txn_kind="update", import_limit=0.0, export_limit=10.0),
+    _event("wait", 8, shard=1, object_id=3, op="read", blocking=7),
+    _event("commit", 7, txn_kind="update", imported=0.0, exported=0.0),
+    _event("read", 8, shard=1, object_id=3, value=402.5),
+    _event("commit", 8, txn_kind="update", imported=0.0, exported=0.0),
+    _event(
+        "read", 6, shard=1, object_id=3, value=402.5,
+        esr_case="late-read-committed", inconsistency=2.5,
+    ),
+    _event("read", 6, shard=0, object_id=0, value=123.0, cached=True),
+    _event("commit", 6, txn_kind="query", imported=2.5, exported=0.0),
+]
+
+#: sha256 of ``HistoryLog.dumps()`` for the extended load, computed at
+#: the commit before the recorder stored rows (PR 13).  Every shape is
+#: in: driven from one thread, thread shards record inside the one
+#: running critical section and worker shards answer one op at a time,
+#: so the event order is the call order on all of them.  The two worker
+#: topologies agree because a failed-over shard records as a thread
+#: shard does, and neither has a snapshot cache.
+_PINNED_DUMPS = {
+    "bare": "95241fe2ff89b960e3b7b1e50442c343605ab0a3ebdcb37466823963d5d4caf2",
+    "sharded": "39604ac53ab70bb47ddd3ef2b235d0a649f1a493cef353514104ed1cc3cbd01f",
+    "procshard": "c49bdca70e6ce59b5a277575a0c45376bdb8e12b535e1da1b7eb5d0eb338e487",
+    "procshard-failed-over": (
+        "c49bdca70e6ce59b5a277575a0c45376bdb8e12b535e1da1b7eb5d0eb338e487"
+    ),
+    "sr": "9e5aa65554673f4b3ce7e16fc4e125fd67f73aea71f27517d1ce792ce7e4b0e0",
+    "2pl": "e1c073d90ab27513a4886a347fc072c2d8d7df535645bf3882c38fae3e4e841d",
+    "mvto": "67c16f1bdea7de9aa28010151df5c3825e5ea8ddde78dc90d90716e69bf4501f",
+}
+
+
+class TestStoredRowsKeepTheHistory:
+    """What is stored changed; what a reader gets must not."""
+
+    @pytest.mark.parametrize(
+        "protocol, shape",
+        [
+            pytest.param("esr", p.values[0], id=p.id, marks=p.marks)
+            for p in ENGINE_SHAPES
+        ]
+        + [pytest.param(name, {}, id=name) for name in ("sr", "2pl", "mvto")],
+    )
+    def test_dump_bytes_are_pinned(self, request, protocol, shape):
+        text = _pinned_history(protocol, shape).dumps()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == _PINNED_DUMPS[request.node.callspec.id]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_field_of_every_event(self, shards):
+        shape = {"shards": shards} if shards > 1 else {}
+        expected = [
+            event if shards > 1 else dataclasses.replace(event, shard=None)
+            for event in _SHARDED_EVENTS
+        ]
+        events = _pinned_history("esr", shape).events
+        assert {e.kind for e in events} == {
+            "begin", "read", "write", "wait", "reject", "commit", "abort"
+        }
+        assert events == expected
+
+    def test_reset_mid_flight_leaves_later_events_complete(self):
+        """The simulator's warm-up resets with transactions open."""
+        engine = create_engine(_bounded_db(), "esr", record_history=True)
+        engine.recorder.clock = lambda: 0.0
+        txn = engine.begin("update", TransactionBounds(0.0, 50.0))
+        engine.recorder.reset()
+        engine.read(txn, 0)
+        engine.commit(txn)
+        assert HistoryLog.from_engine(engine).events == [
+            _event("read", 1, object_id=0, value=100.0),
+            _event("commit", 1, txn_kind="update", imported=0.0, exported=0.0),
+        ]
+
+    def test_dump_writes_what_dumps_returns(self):
+        log = _pinned_history("esr", {})
+        fp = io.StringIO()
+        log.dump(fp)
+        assert fp.getvalue() == log.dumps()

@@ -303,3 +303,24 @@ class TestSessionMapDoesNotLeak:
                     )
                     response = recv_message(conn._reader)
                     assert response["error"] == "unknown-transaction"
+
+    def test_transaction_finished_behind_the_clients_back(self, impatient):
+        """Aborted directly on the engine between two requests (what a
+        shard failover does, with no connection in hand): the next
+        request for it answers ``invalid`` and drops the entry."""
+        from repro.net.protocol import recv_message, send_message
+
+        server, session_maps = impatient
+        with RemoteConnection("127.0.0.1", server.port, site=1) as conn:
+            txn = conn.begin("update", HIGH_EPSILON)
+            txn.write(3, 1.0)
+            (state,) = server.manager.active_transactions()
+            server.manager.abort(state, "shard-failover")
+            errors = []
+            for _ in range(2):
+                send_message(
+                    conn._sock, {"op": "read", "txn": txn.txn_id, "object": 3}
+                )
+                errors.append(recv_message(conn._reader)["error"])
+            assert errors == ["invalid", "unknown-transaction"]
+            assert [len(sessions) for sessions in session_maps()] == [0]
