@@ -26,6 +26,7 @@ from repro.experiments.hotpath import (
     ledger_charge_workload,
     resource_churn_workload,
     timeout_dispatch_workload,
+    workload_generate_workload,
 )
 from repro.lang.compiler import format_program
 from repro.lang.parser import parse_program
@@ -46,6 +47,11 @@ def test_kernel_timeout_dispatch(benchmark):
 def test_kernel_resource_churn(benchmark):
     """Contended acquire/release on a deque-backed FIFO resource."""
     benchmark(resource_churn_workload(workers=20, cycles=100))
+
+
+def test_workload_generate_stream(benchmark):
+    """Programs drawn from the paper spec's stream by a partitioned site."""
+    benchmark(workload_generate_workload(programs=500))
 
 
 def test_ledger_limited_path_charge(benchmark):

@@ -2,9 +2,10 @@
 
 A handful of micro-workloads exercise exactly the code every simulated
 operation passes through — zero-delay event dispatch, heap-scheduled
-timeouts, FIFO resource churn, the hierarchy ledger walk, the group
-member index, and the history recorder's hooks with recording on and
-off — plus one *smoke figure*: a single representative
+timeouts, FIFO resource churn, the workload generator every client
+draws its programs from, the hierarchy ledger walk, the group member
+index, and the history recorder's hooks with recording on and off —
+plus one *smoke figure*: a single representative
 :func:`~repro.sim.system.run_simulation` call timed wall-clock.  The
 suite writes/compares ``BENCH_hotpath.json`` so every future change to
 the kernel or the admission path has a perf trajectory to answer to.
@@ -23,6 +24,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -34,6 +36,7 @@ from repro.engine.results import Granted, Rejected
 from repro.perf import counters as _perf
 from repro.sim.des import Engine, Event, Resource, Timeout
 from repro.sim.system import SimulationConfig, run_simulation
+from repro.workload import PAPER_WORKLOAD, WorkloadGenerator, partition_for_site
 
 __all__ = [
     "MicroBench",
@@ -108,6 +111,21 @@ def resource_churn_workload(workers: int = 40, cycles: int = 500) -> Callable[[]
 
         engine.spawn_all(proc() for _ in range(workers))
         engine.run()
+
+    return run
+
+
+def workload_generate_workload(programs: int = 2000) -> Callable[[], None]:
+    """The paper spec's program stream, as one partitioned site draws it."""
+
+    def run() -> None:
+        generator = WorkloadGenerator(
+            PAPER_WORKLOAD,
+            seed=1,
+            partition=partition_for_site(PAPER_WORKLOAD, 1),
+        )
+        for _ in islice(generator.stream(50_000.0, 5_000.0), programs):
+            pass
 
     return run
 
@@ -202,6 +220,7 @@ MICRO_BENCHES: tuple[MicroBench, ...] = (
     MicroBench("engine_dispatch", engine_dispatch_workload, 50 * 2000, "resumes"),
     MicroBench("timeout_dispatch", timeout_dispatch_workload, 50 * 2000, "timeouts"),
     MicroBench("resource_churn", resource_churn_workload, 40 * 500, "acquire-release"),
+    MicroBench("workload_generate", workload_generate_workload, 2000, "programs"),
     MicroBench("ledger_charge", ledger_charge_workload, 200 * 100, "charges"),
     MicroBench("catalog_members", catalog_members_workload, 2000, "calls"),
     MicroBench(

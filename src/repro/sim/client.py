@@ -64,22 +64,22 @@ class SimClient:
     # -- the client process ------------------------------------------------------
 
     def process(self) -> Generator[object, None, None]:
-        """The client's top-level simulation process."""
-        for program in self._programs:
-            yield from self.run_to_commit(program)
+        """The client's top-level simulation process.
 
-    def run_to_commit(self, program: Program) -> Generator[object, None, None]:
-        """Submit ``program`` repeatedly until it commits."""
-        compiled = compile_program(program)
-        while True:
-            committed, outputs = yield from self._attempt(compiled)
-            if committed:
-                self.committed += 1
-                self.outputs.extend(outputs)
-                return
-            self.restarts += 1
-            if self.latency.restart_delay > 0:
-                yield Timeout(self.latency.restart_delay)
+        Works through the trace, submitting each program repeatedly
+        until it commits.
+        """
+        for program in self._programs:
+            compiled = compile_program(program)
+            while True:
+                committed, outputs = yield from self._attempt(compiled)
+                if committed:
+                    break
+                self.restarts += 1
+                if self.latency.restart_delay > 0:
+                    yield Timeout(self.latency.restart_delay)
+            self.committed += 1
+            self.outputs.extend(outputs)
 
     def _attempt(self, compiled) -> Generator[object, None, tuple[bool, list[str]]]:
         """One incarnation: begin, run the body, commit. False on abort."""

@@ -25,6 +25,16 @@ FIFO order.  The clock never advances while ready callbacks are pending.
 ``RunResult`` metrics are bit-identical to the single-heap kernel for
 identical configs and seeds — the golden determinism tests pin this.
 
+A resource grant is zero-delay only for a process that queued.  With a
+unit free, :meth:`Resource.acquire` takes it during the call and says so
+(the event it returns is already triggered), and the caller goes
+straight on to its service time: no event object, no trip through the
+ready queue.  Nothing about *who holds what when* changes, because the
+unit was always taken inside ``acquire``; the one thing the skipped hop
+could reorder is two heap entries whose due times are float-equal (the
+caller's service timeout now gets its ``seq`` before, not after,
+whatever else runs at that instant), and the goldens would show that.
+
 Usage sketch::
 
     engine = Engine()
@@ -82,6 +92,12 @@ class Event:
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else f"waiters={len(self._waiters)}"
         return f"Event({state})"
+
+
+#: What :meth:`Resource.acquire` returns when a unit is free.  Events
+#: never un-trigger, so every immediate grant can be this one object.
+_GRANTED = Event()
+_GRANTED.trigger()
 
 
 class Timeout:
@@ -287,9 +303,13 @@ class Resource:
     is O(1) no matter how deep the queue gets).  Usage::
 
         grant = resource.acquire()
-        yield grant              # resumes once a unit is free
+        if not grant.triggered:  # every unit busy: wait in the queue
+            yield grant          # resumes holding a unit
         yield Timeout(service_time)
         resource.release()
+
+    (Yielding an already-triggered grant is allowed too; it costs one
+    zero-delay resume.)
 
     The resource also tracks busy time for utilisation reporting.
     """
@@ -310,14 +330,16 @@ class Resource:
         """Return an event that triggers once a unit is granted.
 
         The unit is considered held from the moment the returned event
-        triggers; the caller must eventually :meth:`release` it.
+        triggers; the caller must eventually :meth:`release` it.  With a
+        unit free that moment is this call: the unit is taken here and
+        the event comes back already triggered, so a caller need not
+        wait on it.
         """
-        grant = Event()
         if self._in_use < self.capacity:
             self._take()
-            grant.trigger()
-        else:
-            self._queue.append(grant)
+            return _GRANTED
+        grant = Event()
+        self._queue.append(grant)
         return grant
 
     def release(self) -> None:

@@ -51,16 +51,31 @@ class SimServer:
     ):
         self.manager = manager
         self.engine = engine
+        #: Fixed at construction: the station's one ``Timeout`` is built
+        #: from it below.
         self.service_time = service_time
         self.cpu = Resource(engine, threads)
+        #: What an operation holding a service unit yields before it runs.
+        self._service: tuple[Timeout, ...] = (
+            (Timeout(service_time),) if service_time > 0 else ()
+        )
+        self._serves_cached_reads = (
+            getattr(manager, "snapshot", None) is not None
+        )
 
     # -- service-station plumbing ---------------------------------------------
 
-    def _serve(self) -> Generator[object, None, None]:
-        """Occupy one service unit for one operation's processing."""
-        yield self.cpu.acquire()
-        if self.service_time > 0:
-            yield Timeout(self.service_time)
+    def _admit(self) -> tuple[object, ...]:
+        """Take a service unit, or queue for one, for one operation.
+
+        Returns what the operation must yield, in order, before it runs
+        (``yield from server._admit()``): the grant, unless a unit was
+        free and is already held, then the service time.
+        """
+        grant = self.cpu.acquire()
+        if grant.triggered:
+            return self._service
+        return (grant, *self._service)
 
     # -- operations --------------------------------------------------------------
 
@@ -72,7 +87,7 @@ class SimServer:
         Use as ``outcome = yield from server.perform_read(txn, oid)``;
         the final outcome is always Granted or Rejected.
         """
-        if getattr(self.manager, "snapshot", None) is not None:
+        if self._serves_cached_reads:
             # Snapshot-cache fast path: a bounded-staleness read skips
             # the service station entirely — it occupies no service unit
             # and costs zero simulated time, the DES analogue of
@@ -81,7 +96,7 @@ class SimServer:
             if cached is not None:
                 return cached
         while True:
-            yield from self._serve()
+            yield from self._admit()
             outcome = self.manager.read(txn, object_id)
             self.cpu.release()
             if isinstance(outcome, MustWait):
@@ -94,7 +109,7 @@ class SimServer:
     ) -> Generator[object, None, Outcome]:
         """Submit a write, waiting out strict-ordering blocks."""
         while True:
-            yield from self._serve()
+            yield from self._admit()
             outcome = self.manager.write(txn, object_id, value)
             self.cpu.release()
             if isinstance(outcome, MustWait):
@@ -106,7 +121,7 @@ class SimServer:
         self, txn: TransactionState
     ) -> Generator[object, None, None]:
         """Commit processing, under the service station."""
-        yield from self._serve()
+        yield from self._admit()
         self.manager.commit(txn)
         self.cpu.release()
 
@@ -114,7 +129,7 @@ class SimServer:
         self, txn: TransactionState, reason: str = "client-abort"
     ) -> Generator[object, None, None]:
         """Abort processing, under the service station."""
-        yield from self._serve()
+        yield from self._admit()
         self.manager.abort(txn, reason)
         self.cpu.release()
 

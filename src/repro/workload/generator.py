@@ -15,7 +15,8 @@ ratio.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from repro.engine.database import Database
 from repro.core.bounds import ObjectBounds
@@ -80,11 +81,14 @@ def build_database(
     return db
 
 
+@lru_cache(maxsize=32)
 def hot_set_for(spec: WorkloadSpec) -> tuple[int, ...]:
     """The workload's hot set — a fixed random sample of the object ids.
 
     Derived deterministically from the spec alone so every generator
-    (one per client) conflicts on the same objects.
+    (one per client) conflicts on the same objects.  A spec is frozen
+    and the result a tuple, so the sample is drawn once per spec rather
+    than once per caller (every client of every simulated cell asks).
     """
     hot_rng = random.Random(spec.hot_set_size * 2654435761 + spec.n_objects)
     return tuple(sorted(hot_rng.sample(list(spec.object_ids), spec.hot_set_size)))
@@ -131,35 +135,45 @@ class WorkloadGenerator:
         #: Group limits attached to every generated query (LIMIT lines);
         #: requires a database built ``with_groups``.
         self.query_group_limits: dict[str, float] = dict(query_group_limits or {})
+        hot = set(self.hot_set)
         self._cold_set: tuple[int, ...] = tuple(
-            object_id
-            for object_id in spec.object_ids
-            if object_id not in set(self.hot_set)
+            object_id for object_id in spec.object_ids if object_id not in hot
+        )
+        #: Where an update's padding reads go: cold objects, or the hot
+        #: set when the spec leaves none cold.
+        self._read_pool: tuple[int, ...] = self._cold_set or self.hot_set
+        #: No write target can be a padding read (always so when the
+        #: partition is part of the hot set and some objects are cold):
+        #: updates then sample the pool as it stands.
+        self._writes_miss_read_pool = set(self.partition).isdisjoint(
+            self._read_pool
         )
 
     # -- object selection -------------------------------------------------------
 
     def _choose_objects(self, count: int) -> list[int]:
         """Choose ``count`` distinct objects, hot-set biased."""
-        spec = self.spec
+        rng = self._rng
+        hot_fraction = self.spec.hot_access_fraction
+        hot, cold = self.hot_set, self._cold_set
         chosen: set[int] = set()
         # Cap hot picks at the hot-set size; overflow goes cold.
-        want_hot = sum(
-            1
-            for _ in range(count)
-            if self._rng.random() < spec.hot_access_fraction
-        )
-        want_hot = min(want_hot, len(self.hot_set), count)
-        chosen.update(self._rng.sample(list(self.hot_set), want_hot))
-        remaining = count - len(chosen)
-        if remaining > 0:
-            pool = self._cold_set if self._cold_set else self.hot_set
-            extra = self._rng.sample(
-                [o for o in pool if o not in chosen], remaining
+        want_hot = sum(1 for _ in range(count) if rng.random() < hot_fraction)
+        want_hot = min(want_hot, len(hot), count)
+        # ``sample`` picks by position, so the tuples draw exactly what
+        # a list copy (or an equal filtered list) of them would.
+        chosen.update(rng.sample(hot, want_hot))
+        # Nothing chosen so far is cold: the cold set needs no filter.
+        from_cold = min(count - want_hot, len(cold))
+        chosen.update(rng.sample(cold, from_cold))
+        still_short = count - want_hot - from_cold
+        if still_short:
+            # Too few cold objects: top up from the hot ones left.
+            chosen.update(
+                rng.sample([o for o in hot if o not in chosen], still_short)
             )
-            chosen.update(extra)
         objects = list(chosen)
-        self._rng.shuffle(objects)
+        rng.shuffle(objects)
         return objects
 
     def _ops_count(self, mean: int, spread: int, minimum: int) -> int:
@@ -212,9 +226,11 @@ class WorkloadGenerator:
         )
         writes = min(spec.writes_per_update, total_ops // 2, len(self.partition))
         extra_reads = total_ops - 2 * writes
-        write_targets = self._rng.sample(list(self.partition), writes)
-        read_pool = self._cold_set if self._cold_set else self.hot_set
-        candidates = [o for o in read_pool if o not in set(write_targets)]
+        write_targets = self._rng.sample(self.partition, writes)
+        candidates: Sequence[int] = self._read_pool
+        if not self._writes_miss_read_pool:
+            written = set(write_targets)
+            candidates = [o for o in candidates if o not in written]
         extra_reads = min(extra_reads, len(candidates))
         read_only = self._rng.sample(candidates, extra_reads)
         body: list[Statement] = []

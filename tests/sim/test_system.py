@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -155,3 +156,140 @@ class TestMetricsConsistency:
         # Client counters are reset at warm-up together with the metrics.
         result = run_simulation(small_config())
         assert sum(result.client_commits) == result.commits
+
+
+#: (config, everything a RunResult measures) for four cells of the
+#: paper's workload, captured on the tree before the service station
+#: stopped spending a generator, an Event and a ready-queue hop per
+#: operation (PR 14).  Not similar results — these results.
+PINNED_CELLS = {
+    "esr": (
+        SimulationConfig(
+            mpl=10,
+            til=10_000.0,
+            tel=1_000.0,
+            duration_ms=20_000.0,
+            warmup_ms=2_000.0,
+            seed=1993,
+        ),
+        {"measured_ms": 18000.0,
+         "metrics": {"commits": 156,
+                     "commits_query": 56,
+                     "commits_update": 100,
+                     "aborts": 88,
+                     "aborts_by_reason": {"bound-violation": 88},
+                     "reads": 2542,
+                     "writes": 211,
+                     "inconsistent_operations": 293,
+                     "inconsistent_by_case": {"late-read-committed": 103,
+                                              "read-uncommitted": 190},
+                     "rejected_operations": 88,
+                     "waits": 3,
+                     "total_imported": 232956.0,
+                     "total_exported": 0.0},
+         "client_commits": (19, 14, 12, 12, 17, 17, 13, 12, 22, 18),
+         "server_utilisation": 1.0,
+         "cache": None},
+    ),
+    "snapshot-cache": (
+        SimulationConfig(
+            mpl=8,
+            til=100_000.0,
+            tel=10_000.0,
+            snapshot_cache=True,
+            duration_ms=15_000.0,
+            warmup_ms=2_000.0,
+            seed=5,
+        ),
+        {"measured_ms": 13000.0,
+         "metrics": {"commits": 377,
+                     "commits_query": 98,
+                     "commits_update": 279,
+                     "aborts": 0,
+                     "aborts_by_reason": {},
+                     "reads": 3068,
+                     "writes": 562,
+                     "inconsistent_operations": 138,
+                     "inconsistent_by_case": {"late-read-committed": 138},
+                     "rejected_operations": 0,
+                     "waits": 0,
+                     "total_imported": 404664.0,
+                     "total_exported": 0.0},
+         "client_commits": (45, 45, 48, 45, 53, 48, 46, 47),
+         "server_utilisation": 0.9459303842174667,
+         "cache": (("hits", 2252),
+                   ("misses", 0),
+                   ("fallbacks", 1293),
+                   ("divergence_charged", 445717.0))},
+    ),
+    "2pl": (
+        SimulationConfig(
+            mpl=6,
+            til=10_000.0,
+            tel=1_000.0,
+            protocol="2pl",
+            duration_ms=15_000.0,
+            warmup_ms=2_000.0,
+            seed=17,
+        ),
+        {"measured_ms": 13000.0,
+         "metrics": {"commits": 153,
+                     "commits_query": 49,
+                     "commits_update": 104,
+                     "aborts": 6,
+                     "aborts_by_reason": {"deadlock": 6},
+                     "reads": 1455,
+                     "writes": 206,
+                     "inconsistent_operations": 106,
+                     "inconsistent_by_case": {"read-uncommitted": 106},
+                     "rejected_operations": 6,
+                     "waits": 119,
+                     "total_imported": 198747.0,
+                     "total_exported": 0.0},
+         "client_commits": (30, 29, 30, 18, 24, 22),
+         "server_utilisation": 0.8950455934877201,
+         "cache": None},
+    ),
+    "transactions-per-client": (
+        SimulationConfig(
+            mpl=5,
+            til=50_000.0,
+            tel=5_000.0,
+            transactions_per_client=40,
+            seed=23,
+        ),
+        {"measured_ms": 13817.221191089271,
+         "metrics": {"commits": 200,
+                     "commits_query": 51,
+                     "commits_update": 149,
+                     "aborts": 1,
+                     "aborts_by_reason": {"bound-violation": 1},
+                     "reads": 1618,
+                     "writes": 299,
+                     "inconsistent_operations": 161,
+                     "inconsistent_by_case": {"late-write": 4,
+                                              "late-read-committed": 59,
+                                              "read-uncommitted": 98},
+                     "rejected_operations": 1,
+                     "waits": 0,
+                     "total_imported": 532679.0,
+                     "total_exported": 6646.0},
+         "client_commits": (40, 40, 40, 40, 40),
+         "server_utilisation": 0.9197218329395632,
+         "cache": None},
+    ),
+}
+
+
+class TestRunResultsArePinned:
+    @pytest.mark.parametrize("label", sorted(PINNED_CELLS))
+    def test_every_field(self, label):
+        config, expected = PINNED_CELLS[label]
+        result = run_simulation(config)
+        assert result.measured_ms == expected["measured_ms"]
+        assert asdict(result.metrics) == expected["metrics"]
+        assert result.commits == expected["metrics"]["commits"]
+        assert result.aborts == expected["metrics"]["aborts"]
+        assert result.client_commits == expected["client_commits"]
+        assert result.server_utilisation == expected["server_utilisation"]
+        assert result.cache == expected["cache"]

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
+from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
+from repro.engine.api import create_engine
+from repro.engine.database import Database
+from repro.engine.results import Granted
 from repro.experiments import hotpath
 from repro.perf import PerfCounters, counters, profile_call
 from repro.sim.des import Engine, Timeout
+from repro.sim.server import SimServer
 from repro.sim.system import SimulationConfig, build_simulation
+from repro.workload import WorkloadGenerator, WorkloadSpec, partition_for_site
 
 
 class TestPerfCounters:
@@ -167,3 +174,85 @@ class TestHistoryRetention:
         events = len(recorder.events())
         assert events > 20_000
         assert retained / events <= 170
+
+
+def _traced_opcodes(fn) -> int:
+    """Bytecode instructions executed in Python frames while ``fn`` runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+class TestGenerationCostIgnoresDatabaseSize:
+    def test_opcodes_per_program_at_1k_and_16k_objects(self):
+        """A count, not a timing: what one generated program executes
+        must not grow with the cold set it samples from.  Filtering the
+        cold set per program made both kinds scale with it (~10x here
+        for queries; worse for updates, which also built a set per
+        candidate)."""
+        programs = 300
+        per_program = {}
+        for n_objects in (1_000, 16_000):
+            spec = WorkloadSpec(n_objects=n_objects)
+            generator = WorkloadGenerator(
+                spec, seed=1, partition=partition_for_site(spec, 1)
+            )
+            per_program[n_objects] = tuple(
+                _traced_opcodes(
+                    lambda: [generate(50_000.0) for _ in range(programs)]
+                )
+                / programs
+                for generate in (
+                    generator.generate_query,
+                    generator.generate_update,
+                )
+            )
+        for small, large in zip(per_program[1_000], per_program[16_000]):
+            assert small > 0
+            assert large / small <= 1.5
+
+
+class TestServiceStationEvents:
+    @staticmethod
+    def _station(readers: int):
+        database = Database()
+        database.create_object(1, 5.0)
+        manager = create_engine(database, "esr")
+        engine = Engine()
+        server = SimServer(manager, engine, service_time=2.0)
+        outcomes = []
+
+        def reader():
+            txn = manager.begin("query", TransactionBounds(100.0, 0.0))
+            outcomes.append((yield from server.perform_read(txn, 1)))
+
+        engine.spawn_all(reader() for _ in range(readers))
+        engine.run()
+        assert [type(outcome) for outcome in outcomes] == [Granted] * readers
+        assert engine.now == 2.0 * readers
+        assert server.cpu.busy_snapshot() == 2.0 * readers
+        # Each spawn's first step is the caller's event, not the station's.
+        return engine.events_dispatched - readers
+
+    def test_uncontended_read_is_one_event(self):
+        """With a unit free the operation takes it and goes straight to
+        its service time: the service timeout is the only kernel event
+        (an Event and a ready-queue hop came first before)."""
+        assert self._station(readers=1) == 1
+
+    def test_queued_read_is_the_grant_and_the_service_time(self):
+        assert self._station(readers=2) == 1 + 2
