@@ -1,23 +1,18 @@
 """The networked prototype: threaded and asyncio TCP servers + clients.
 
-Two servers, one wire protocol: :class:`TransactionServer` is the
+Two transports, one connection core: :class:`TransactionServer` is the
 thread-per-connection fidelity baseline from the paper;
 :class:`AsyncTransactionServer` is the high-throughput asyncio layer
-(pipelining, batched dispatch, write coalescing — see
-``docs/networking.md``).
+(pipelining, batched dispatch, write coalescing); what a connection's
+bytes *mean* is :class:`repro.net.requests.Conversation` for both — see
+``docs/networking.md``.
 """
 
 from repro.net.aioclient import AsyncRemoteConnection, AsyncRemoteTransaction, connect
 from repro.net.aioserver import AsyncTransactionServer, serve_in_thread
 from repro.net.client import RemoteConnection, RemoteTransaction
 from repro.net.clock import VirtualClock, synchronized_generator
-from repro.net.protocol import (
-    LineReader,
-    decode_message,
-    encode_message,
-    recv_message,
-    send_message,
-)
+from repro.net.protocol import FrameReader, decode_message, encode_message
 from repro.net.server import TransactionServer, serve_forever
 
 __all__ = [
@@ -30,11 +25,9 @@ __all__ = [
     "RemoteTransaction",
     "VirtualClock",
     "synchronized_generator",
-    "LineReader",
+    "FrameReader",
     "decode_message",
     "encode_message",
-    "recv_message",
-    "send_message",
     "TransactionServer",
     "serve_forever",
 ]

@@ -23,7 +23,8 @@ from typing import Any
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
 from repro.engine.timestamps import Timestamp, TimestampGenerator
-from repro.errors import ProtocolError, TransactionAborted
+from repro.errors import ProtocolError
+from repro.net.client import begin_request, begun_transaction, check_response
 from repro.net.clock import VirtualClock
 from repro.net.protocol import (
     CODECS,
@@ -39,6 +40,8 @@ __all__ = ["AsyncRemoteConnection", "AsyncRemoteTransaction", "connect"]
 
 class AsyncRemoteTransaction:
     """A live transaction on a remote server (an awaitable session)."""
+
+    _check = check_response
 
     def __init__(
         self,
@@ -86,21 +89,6 @@ class AsyncRemoteTransaction:
         self._check(response)
         self.finished = True
 
-    def _check(self, response: dict[str, Any]) -> None:
-        if response.get("ok"):
-            return
-        error = response.get("error")
-        if error == "aborted":
-            self.finished = True
-            raise TransactionAborted(
-                response.get("detail") or "transaction aborted by server",
-                transaction_id=self.txn_id,
-                reason=response.get("reason"),
-            )
-        raise ProtocolError(
-            f"server error {error!r}: {response.get('detail')!r}"
-        )
-
 
 class AsyncRemoteConnection:
     """One pipelined client connection; build via :func:`connect`."""
@@ -120,7 +108,6 @@ class AsyncRemoteConnection:
         self._flush_scheduled = False
         self._closed = False
         self._codec: Codec = JSON_CODEC
-        self._binary = False
         # In-flight negotiation: the reader task switches framing the
         # moment it sees the hello response with this id, *before* its
         # next read — binary response bytes may follow immediately.
@@ -172,7 +159,7 @@ class AsyncRemoteConnection:
     async def _read_responses(self) -> None:
         try:
             while True:
-                if self._binary:
+                if self._codec is not JSON_CODEC:
                     header = await self._reader.readexactly(4)
                     size = int.from_bytes(header, "little")
                     if size < 1 or size > MAX_FRAME_BYTES:
@@ -215,7 +202,6 @@ class AsyncRemoteConnection:
             and response.get("codec") == want.name
         ):
             self._codec = want
-            self._binary = True
             self.negotiated_codec = want.name
 
     async def negotiate_codec(self, name: str) -> str:
@@ -296,12 +282,6 @@ class AsyncRemoteConnection:
         timestamp: Timestamp | None = None,
     ) -> AsyncRemoteTransaction:
         """Begin a transaction (same semantics as the sync client)."""
-        if isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        if isinstance(bounds, TransactionBounds):
-            limit = bounds.import_limit if kind == "query" else bounds.export_limit
-        else:
-            limit = float(bounds)
         if timestamp is None:
             if self._timestamps is None:
                 raise ProtocolError(
@@ -309,26 +289,11 @@ class AsyncRemoteConnection:
                     "or pass an explicit timestamp"
                 )
             timestamp = self._timestamps.next()
-        response = await self.request(
-            {
-                "op": "begin",
-                "kind": kind,
-                "limit": limit,
-                "timestamp": list(timestamp),
-                "group_limits": group_limits or {},
-                "object_limits": {
-                    str(k): v for k, v in (object_limits or {}).items()
-                },
-            }
+        limit, message = begin_request(
+            kind, bounds, timestamp, group_limits, object_limits
         )
-        if not response.get("ok"):
-            raise ProtocolError(
-                f"begin failed: {response.get('error')!r} "
-                f"{response.get('detail')!r}"
-            )
-        return AsyncRemoteTransaction(
-            self, int(response["txn"]), kind, limit=limit
-        )
+        txn_id = begun_transaction(await self.request(message))
+        return AsyncRemoteTransaction(self, txn_id, kind, limit=limit)
 
 
 async def connect(

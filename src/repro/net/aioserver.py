@@ -1,11 +1,15 @@
 """The high-throughput asyncio transaction server.
 
 Same engine, same wire protocol as the threaded server
-(:mod:`repro.net.server`), different serving architecture.  The engine is
-single-threaded by design; here the event loop *is* the critical section
-— every :class:`~repro.engine.manager.TransactionManager` call happens on
-the loop thread, so the threaded server's global mutex disappears
-entirely.  Three throughput levers ride on top:
+(:mod:`repro.net.server`) — literally the same: both are transports
+around :class:`repro.net.requests.Conversation`, which frames the bytes,
+negotiates the codec, answers snapshot-cache reads inline and cleans up
+after a vanished client.  This module is the serving architecture.  The
+engine is single-threaded by design; here the event loop *is* the
+critical section — every
+:class:`~repro.engine.manager.TransactionManager` call happens on the
+loop thread, so the threaded server's global mutex disappears entirely.
+Three throughput levers ride on top:
 
 **Pipelining.**  Clients may keep many requests in flight per connection.
 Requests carry a correlation ``id`` which the response echoes; responses
@@ -15,11 +19,12 @@ strict-ordering wait delays only its own response).  Requests without an
 existing :class:`~repro.net.client.RemoteConnection` — work unchanged.
 
 **Batched dispatch.**  The transport layer is a callback-based
-:class:`asyncio.Protocol` (no stream-reader coroutine per connection):
-``data_received`` splits a chunk into requests and appends them to one
-shared queue, and a single dispatcher task drains the *entire* queue per
-loop tick, running it against the manager in one pass — per-request
-overhead is amortised across the batch.  Strict-ordering waits become
+:class:`asyncio.BufferedProtocol` (no stream-reader coroutine per
+connection): ``buffer_updated`` feeds a chunk to the conversation and
+appends the requests it yields to one shared queue, and a single
+dispatcher task drains the *entire* queue per loop tick, running it
+against the manager in one pass — per-request overhead is amortised
+across the batch.  Strict-ordering waits become
 ``asyncio.Event`` subscriptions on the wait registry (no blocked
 threads): a parked operation lives in its own small task that retries
 when the blocker completes and aborts on ``wait_timeout``.
@@ -47,14 +52,6 @@ events are loop-affine but may be fired from executor threads, so the
 sharded mode wraps them in :class:`_LoopEvent` (``set`` via
 ``call_soon_threadsafe``).
 
-**Codec negotiation.**  Every connection starts in JSON line mode; a
-``hello`` request may switch it to the length-prefixed binary codec
-(:mod:`repro.net.protocol`), after which ``data_received`` parses frames
-instead of lines — including a binary edition of the snapshot-cache
-inline fast path that never builds a dict on a cache hit.  The switch is
-lossless mid-chunk (binary bytes may contain ``0x0A``, so the line split
-is undone exactly before the frame parser takes over).
-
 **uvloop (optional).**  :class:`AsyncServerThread` runs its loop under
 uvloop when the optional extra is importable (``pip install
 repro[speed]``), falling back to stock asyncio silently otherwise;
@@ -77,26 +74,16 @@ from typing import Any
 from repro import perf
 from repro.engine.api import Engine, create_engine
 from repro.engine.database import Database
-from repro.engine.reasons import REASON_CLIENT_DISCONNECTED
-from repro.errors import ProtocolError
-from repro.net.protocol import (
-    BINARY_CODEC,
-    JSON_CODEC,
-    MAX_FRAME_BYTES,
-    MAX_LINE_BYTES,
-    SUPPORTED_CODECS,
-    Codec,
-    decode_message,
-    negotiate_hello,
-)
+from repro.net.protocol import SUPPORTED_CODECS
 from repro.net.requests import (
+    Conversation,
+    Failure,
     NeedsWait,
     abort_on_timeout,
     attach_id,
     retry_operation,
     submit_batch,
     submit_request,
-    try_cached_read,
 )
 from repro.net.server import WAIT_TIMEOUT_SECONDS
 
@@ -119,16 +106,6 @@ DEFAULT_MAX_INFLIGHT = 128
 def uvloop_available() -> bool:
     """Whether the optional ``uvloop`` extra is importable here."""
     return _uvloop is not None
-
-
-class _Failure:
-    """A framing-level failure, queued so it answers in request order."""
-
-    __slots__ = ("error", "detail")
-
-    def __init__(self, error: str, detail: str):
-        self.error = error
-        self.detail = detail
 
 
 class _LoopEvent:
@@ -155,54 +132,42 @@ class _LoopEvent:
 
 
 class _Connection(asyncio.BufferedProtocol):
-    """One client connection: line framing, sessions, response buffer."""
+    """One client connection's transport: a receive buffer in, a response
+    buffer out, the in-flight window between them.  What the bytes mean
+    is the :class:`~repro.net.requests.Conversation`'s business."""
 
     __slots__ = (
         "server",
         "transport",
-        "buffer",
+        "conv",
         "sessions",
         "out",
         "inflight",
-        "pending_ops",
         "read_paused",
         "write_paused",
         "flush_pending",
-        "failed",
         "closing",
         "closed",
         "lane",
-        "codec",
-        "binary",
         "recv_view",
     )
 
     def __init__(self, server: "AsyncTransactionServer"):
         self.server = server
         self.transport: asyncio.Transport | None = None
-        self.buffer = b""
         #: Receive buffer the transport reads into.  A plain Protocol
         #: makes the transport allocate (and shrink, and free) a 256 KiB
         #: bytes object per recv; at that size glibc keeps mapping and
         #: trimming memory, which cost a steady-state server a tenth of
         #: its throughput in page faults.
         self.recv_view = memoryview(bytearray(65536))
-        #: Wire codec in effect (starts JSON; ``hello`` may switch it).
-        self.codec: Codec = JSON_CODEC
-        self.binary = False  # codec is length-prefixed, not line-framed
-        self.sessions: dict[int, Any] = {}
+        self.conv = Conversation(server.manager, server.codecs)
+        self.sessions = self.conv.sessions  # the same map, one hop nearer
         self.out: list[bytes] = []
         self.inflight = 0
-        #: Per-transaction count of requests queued for dispatch but not
-        #: yet answered.  The inline cache fast path must not answer a
-        #: read while an earlier operation of the *same* transaction is
-        #: still queued — that would reorder the transaction's own
-        #: execution (e.g. a read overtaking its own pending write).
-        self.pending_ops: dict[int, int] = {}
         self.read_paused = False
         self.write_paused = False
         self.flush_pending = False
-        self.failed = False  # framing failure queued; ignore further input
         self.closing = False  # error reply buffered; close once flushed
         self.closed = False
         #: Off-loop shard-executor mode: the FIFO lane serving this
@@ -218,7 +183,7 @@ class _Connection(asyncio.BufferedProtocol):
     def connection_lost(self, exc: Exception | None) -> None:
         self.closed = True
         self.server._connections.discard(self)
-        self.server._abandon(self)
+        self.conv.abandon()
 
     def pause_writing(self) -> None:
         # Slow reader: hold responses in self.out (bounded by the
@@ -230,230 +195,44 @@ class _Connection(asyncio.BufferedProtocol):
         self.flush_now()
 
     def eof_received(self) -> bool | None:
-        if self.buffer and not self.failed:
-            self.fail(
-                "protocol",
-                "connection closed mid-frame"
-                if self.binary
-                else "connection closed mid-line",
-            )
+        failure = self.conv.eof()
+        if failure is not None:
+            self.server._queue.append((self, failure))
+            self.server._queue_ready.set()
         # Keep the transport open while an error response is still in
         # flight through the dispatch queue; flush_now() closes it.
-        return self.failed
+        return self.conv.failed
 
     def get_buffer(self, sizehint: int) -> memoryview:
         return self.recv_view
 
     def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(bytes(self.recv_view[:nbytes]))
-
-    def data_received(self, data: bytes) -> None:
-        if self.failed:
-            return
-        if self.binary:
-            self._binary_data(data)
-        else:
-            self._line_data(data)
-
-    def _line_data(self, data: bytes) -> None:
-        buffer = self.buffer + data
-        if b"\n" not in data:
-            if len(buffer) > MAX_LINE_BYTES:
-                self.buffer = b""
-                self.fail(
-                    "too_large",
-                    f"protocol line exceeds {MAX_LINE_BYTES} bytes",
-                )
-                return
-            self.buffer = buffer
-            return
-        lines = buffer.split(b"\n")
-        self.buffer = buffer = lines.pop()
-        if len(buffer) > MAX_LINE_BYTES:
-            self.fail(
-                "too_large", f"protocol line exceeds {MAX_LINE_BYTES} bytes"
-            )
-            return
         server = self.server
         queue = server._queue
-        manager = server.manager
-        cache = manager.snapshot is not None
-        pending_ops = self.pending_ops
-        codec = self.codec
         queued = 0
         answered_inline = False
-        for index, line in enumerate(lines):
-            if len(line) > MAX_LINE_BYTES:
-                self.fail(
-                    "too_large",
-                    f"protocol line exceeds {MAX_LINE_BYTES} bytes",
-                )
-                return
-            if cache:
-                # Inline fast path: answer a bounded-staleness read right
-                # here, before batched dispatch — zero queue, zero tick,
-                # and for the canonical wire shape zero JSON (the line is
-                # parsed and the response formatted at the byte level).
-                # Only when no earlier op of the same transaction is
-                # still queued (per-transaction order must hold; ops of
-                # *other* transactions may be overtaken, which pipelining
-                # already allows).  Inline answers never count against
-                # the in-flight window.
-                parsed = codec.parse_canonical_read(line)
-                if parsed is not None:
-                    txn_id, object_id, rid = parsed
-                    if not pending_ops.get(txn_id, 0):
-                        txn = self.sessions.get(txn_id)
-                        outcome = (
-                            manager.read_cached(txn, object_id)
-                            if txn is not None
-                            else None
-                        )
-                        if outcome is not None:
-                            self.out.append(
-                                codec.encode_read_outcome(outcome, rid)
-                            )
-                            answered_inline = True
-                            continue
-            try:
-                message = decode_message(line)
-            except ProtocolError as exc:
-                self.fail("protocol", str(exc))
-                return
-            if server.codecs is not None and message.get("op") == "hello":
-                # Negotiate, answer on the current (JSON) codec, then —
-                # on a switch — hand the remaining bytes of this chunk
-                # to the binary parser losslessly: binary frames may
-                # contain 0x0A, so the split must be undone exactly.
-                chosen, response = negotiate_hello(message, server.codecs)
-                self.out.append(codec.encode_response(attach_id(response, message)))
+        for item in self.conv.feed(bytes(self.recv_view[:nbytes])):
+            if type(item) is dict:
+                queue.append((self, item))
+                queued += 1
+            elif type(item) is bytes:
+                # Answered by the conversation (hello, a cache hit):
+                # never queued, never counted against the window.
+                self.out.append(item)
                 answered_inline = True
-                if chosen is not codec:
-                    self.codec = chosen
-                    self.binary = True
-                    rest = b"\n".join(lines[index + 1 :] + [self.buffer])
-                    self.buffer = b""
-                    self._finish_ingest(queued, answered_inline)
-                    if rest:
-                        self._binary_data(rest)
-                    return
-                continue
-            if cache and not pending_ops.get(message.get("txn", -1), 0):
-                # Same fast path for read messages in any other wire
-                # shape (different key order, extra keys): decoded
-                # normally, still answered before dispatch.
-                response = try_cached_read(manager, message, self.sessions)
-                if response is not None:
-                    self.out.append(
-                        codec.encode_response(attach_id(response, message))
-                    )
-                    answered_inline = True
-                    continue
-            txn = message.get("txn")
-            if txn is not None:
-                pending_ops[txn] = pending_ops.get(txn, 0) + 1
-            queue.append((self, message))
-            queued += 1
-        self._finish_ingest(queued, answered_inline)
-
-    def _binary_data(self, data: bytes) -> None:
-        buffer = self.buffer + data
-        server = self.server
-        queue = server._queue
-        manager = server.manager
-        cache = manager.snapshot is not None
-        pending_ops = self.pending_ops
-        codec = self.codec
-        counters = perf.counters
-        queued = 0
-        answered_inline = False
-        pos = 0
-        end = len(buffer)
-        while end - pos >= 4:
-            size = int.from_bytes(buffer[pos : pos + 4], "little")
-            if size < 1 or size > MAX_FRAME_BYTES:
-                self.buffer = b""
-                self._finish_ingest(queued, answered_inline)
-                self.fail(
-                    "too_large",
-                    f"binary frame of {size} bytes exceeds "
-                    f"{MAX_FRAME_BYTES} bytes",
-                )
-                return
-            if end - pos - 4 < size:
-                break
-            frame = buffer[pos + 4 : pos + 4 + size]
-            pos += 4 + size
-            if cache:
-                # Inline fast path, binary edition: a canonical read
-                # frame is three struct fields — no dict is ever built
-                # on a cache hit.
-                parsed = codec.parse_canonical_read(frame)
-                if parsed is not None:
-                    txn_id, object_id, rid = parsed
-                    if not pending_ops.get(txn_id, 0):
-                        txn = self.sessions.get(txn_id)
-                        outcome = (
-                            manager.read_cached(txn, object_id)
-                            if txn is not None
-                            else None
-                        )
-                        if outcome is not None:
-                            # The decode counter normally ticks inside
-                            # codec.decode, which this path bypasses.
-                            counters.net_codec_binary_frames_decoded += 1
-                            self.out.append(
-                                codec.encode_read_outcome(outcome, rid)
-                            )
-                            answered_inline = True
-                            continue
-            try:
-                message = codec.decode(frame)
-            except ProtocolError as exc:
-                self.buffer = b""
-                self._finish_ingest(queued, answered_inline)
-                self.fail("protocol", str(exc))
-                return
-            if server.codecs is not None and message.get("op") == "hello":
-                chosen, response = negotiate_hello(message, server.codecs)
-                self.out.append(codec.encode_response(attach_id(response, message)))
-                answered_inline = True
-                if chosen is not codec:
-                    self.codec = chosen
-                    self.binary = False
-                    self.buffer = b""
-                    self._finish_ingest(queued, answered_inline)
-                    rest = buffer[pos:]
-                    if rest:
-                        self._line_data(rest)
-                    return
-                continue
-            if cache and not pending_ops.get(message.get("txn", -1), 0):
-                response = try_cached_read(manager, message, self.sessions)
-                if response is not None:
-                    self.out.append(
-                        codec.encode_response(attach_id(response, message))
-                    )
-                    answered_inline = True
-                    continue
-            txn = message.get("txn")
-            if txn is not None:
-                pending_ops[txn] = pending_ops.get(txn, 0) + 1
-            queue.append((self, message))
-            queued += 1
-        self.buffer = buffer[pos:]
-        self._finish_ingest(queued, answered_inline)
-
-    def _finish_ingest(self, queued: int, answered_inline: bool) -> None:
-        """Shared post-chunk bookkeeping for both framing modes."""
+            else:
+                # The final Failure: the dispatcher answers it in order,
+                # after the requests queued before it.
+                queue.append((self, item))
+                server._queue_ready.set()
         self.inflight += queued
-        if self.inflight >= self.server.max_inflight and not self.read_paused:
+        if queued:
+            server._queue_ready.set()
+        if self.inflight >= server.max_inflight and not self.read_paused:
             # In-flight window full: stop reading until responses drain.
             perf.counters.net_backpressure_stalls += 1
             self.read_paused = True
             self.transport.pause_reading()
-        if queued:
-            self.server._queue_ready.set()
         if answered_inline:
             # The dispatcher only flushes connections it answers, so the
             # inline responses need their own (idempotent, coalesced)
@@ -462,17 +241,6 @@ class _Connection(asyncio.BufferedProtocol):
             self.schedule_flush()
 
     # -- response path ---------------------------------------------------------
-
-    def note_answered(self, message: dict[str, Any]) -> None:
-        """Drop one queued-op claim for the message's transaction."""
-        txn = message.get("txn")
-        if txn is None:
-            return
-        count = self.pending_ops.get(txn, 0) - 1
-        if count > 0:
-            self.pending_ops[txn] = count
-        else:
-            self.pending_ops.pop(txn, None)
 
     def enqueue(self, response: dict[str, Any]) -> None:
         """Buffer one response; reopens the read window if it was full."""
@@ -484,7 +252,7 @@ class _Connection(asyncio.BufferedProtocol):
                 self.transport.resume_reading()
         if self.closed:
             return
-        self.out.append(self.codec.encode_response(response))
+        self.out.append(self.conv.codec.encode_response(response))
 
     def flush_now(self) -> None:
         """Write the buffered responses in one transport write."""
@@ -505,16 +273,6 @@ class _Connection(asyncio.BufferedProtocol):
             return
         self.flush_pending = True
         self.server._loop.call_soon(self.flush_now)
-
-    def fail(self, error: str, detail: str) -> None:
-        """Queue a framing-level failure; the dispatcher answers it in
-        order after any requests already queued, then the connection
-        closes once the error has been flushed."""
-        if self.failed:
-            return
-        self.failed = True
-        self.server._queue.append((self, _Failure(error, detail)))
-        self.server._queue_ready.set()
 
 
 class AsyncTransactionServer:
@@ -561,7 +319,7 @@ class AsyncTransactionServer:
         #: Codecs offered to ``hello`` negotiation; None disables it
         #: (the connection then behaves like a pre-negotiation server).
         self.codecs = codecs
-        self._queue: deque[tuple[_Connection, dict[str, Any]]] = deque()
+        self._queue: deque[tuple[_Connection, dict[str, Any] | Failure]] = deque()
         self._connections: set[_Connection] = set()
         self._queue_ready: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -628,13 +386,6 @@ class AsyncTransactionServer:
         if close is not None:
             close()
 
-    def _abandon(self, conn: _Connection) -> None:
-        """Abort whatever a disconnected client left active."""
-        for txn in conn.sessions.values():
-            if txn.is_active:
-                self.manager.abort(txn, REASON_CLIENT_DISCONNECTED)
-        conn.sessions.clear()
-
     def history(self) -> "HistoryLog":
         """The recorded history so far (empty when recording is off)."""
         from repro.engine.history import HistoryLog
@@ -669,20 +420,14 @@ class AsyncTransactionServer:
             # connection lands on that connection's FIFO lane.
             groups: dict[int, tuple[_Connection, list[dict[str, Any]]]] = {}
             for conn, message in batch:
-                if type(message) is _Failure:
+                if type(message) is Failure:
                     # Flush this connection's pending group first so the
                     # failure reply keeps its position in the lane order.
                     pending = groups.pop(id(conn), None)
                     if pending is not None:
                         self._submit_group(*pending)
                     conn.out.append(
-                        conn.codec.encode_response(
-                            {
-                                "ok": False,
-                                "error": message.error,
-                                "detail": message.detail,
-                            }
-                        )
+                        conn.conv.codec.encode_response(message.response())
                     )
                     conn.closing = True
                     touched[id(conn)] = conn
@@ -702,7 +447,7 @@ class AsyncTransactionServer:
                     event = self._subscribe(result)
                     self._spawn_waiter(conn, message, result, event)
                 else:
-                    conn.note_answered(message)
+                    conn.conv.answered(message)
                     if "id" in message:
                         result["id"] = message["id"]
                     conn.enqueue(result)
@@ -746,24 +491,6 @@ class AsyncTransactionServer:
             self._lane_rr += 1
         return conn.lane
 
-    def _offloop_done(
-        self,
-        conn: _Connection,
-        message: dict[str, Any],
-        future: "asyncio.Future[dict[str, Any] | NeedsWait]",
-    ) -> None:
-        """Loop-side completion of an off-loop engine call."""
-        if future.cancelled():
-            return
-        result = future.result()
-        if type(result) is NeedsWait:
-            event = self._subscribe(result)
-            self._spawn_waiter(conn, message, result, event)
-            return
-        conn.note_answered(message)
-        conn.enqueue(attach_id(result, message))
-        conn.schedule_flush()
-
     def _offloop_batch_done(
         self,
         conn: _Connection,
@@ -780,7 +507,7 @@ class AsyncTransactionServer:
                 event = self._subscribe(result)
                 self._spawn_waiter(conn, message, result, event)
                 continue
-            conn.note_answered(message)
+            conn.conv.answered(message)
             conn.enqueue(attach_id(result, message))
             flush = True
         if flush:
@@ -837,7 +564,7 @@ class AsyncTransactionServer:
                 continue
             response = result
             break
-        conn.note_answered(message)
+        conn.conv.answered(message)
         conn.enqueue(attach_id(response, message))
         conn.schedule_flush()
 

@@ -24,13 +24,69 @@ from repro.lang.ast import Program
 from repro.lang.compiler import compile_program
 from repro.lang.eval import ExecutionResult, execute
 from repro.net.clock import VirtualClock
-from repro.net.protocol import CODECS, JSON_CODEC, LineReader
+from repro.net.protocol import CODECS, JSON_CODEC, FrameReader
 
 __all__ = ["RemoteConnection", "RemoteTransaction"]
 
 
+# -- what the blocking and the asyncio client share ---------------------------
+
+
+def begin_request(
+    kind: str,
+    bounds: TransactionBounds | EpsilonLevel | float,
+    timestamp: Timestamp,
+    group_limits: dict[str, float] | None,
+    object_limits: dict[int, float] | None,
+) -> tuple[float, dict[str, Any]]:
+    """``(limit, message)`` for one ``begin``; ``bounds`` may be a limit
+    number, a :class:`TransactionBounds`, or an :class:`EpsilonLevel`."""
+    if isinstance(bounds, EpsilonLevel):
+        bounds = bounds.transaction
+    if isinstance(bounds, TransactionBounds):
+        limit = bounds.import_limit if kind == "query" else bounds.export_limit
+    else:
+        limit = float(bounds)
+    return limit, {
+        "op": "begin",
+        "kind": kind,
+        "limit": limit,
+        "timestamp": list(timestamp),
+        "group_limits": group_limits or {},
+        "object_limits": {str(k): v for k, v in (object_limits or {}).items()},
+    }
+
+
+def begun_transaction(response: dict[str, Any]) -> int:
+    """The id a ``begin`` response assigned, or the refusal as an error."""
+    if not response.get("ok"):
+        raise ProtocolError(
+            f"begin failed: {response.get('error')!r} {response.get('detail')!r}"
+        )
+    return int(response["txn"])
+
+
+def check_response(txn: Any, response: dict[str, Any]) -> None:
+    """Raise what a refused operation of ``txn`` means; an ``aborted``
+    also marks it finished.  Both clients' transaction classes bind this
+    as their ``_check`` method."""
+    if response.get("ok"):
+        return
+    error = response.get("error")
+    if error == "aborted":
+        txn.finished = True
+        raise TransactionAborted(
+            response.get("detail") or "transaction aborted by server",
+            transaction_id=txn.txn_id,
+            reason=response.get("reason"),
+        )
+    raise ProtocolError(f"server error {error!r}: {response.get('detail')!r}")
+
+
 class RemoteTransaction:
     """A live transaction on a remote server (a blocking Session)."""
+
+    _check = check_response
 
     def __init__(
         self,
@@ -106,21 +162,6 @@ class RemoteTransaction:
         self._check(response)
         self.finished = True
 
-    def _check(self, response: dict[str, Any]) -> None:
-        if response.get("ok"):
-            return
-        error = response.get("error")
-        if error == "aborted":
-            self.finished = True
-            raise TransactionAborted(
-                response.get("detail") or "transaction aborted by server",
-                transaction_id=self.txn_id,
-                reason=response.get("reason"),
-            )
-        raise ProtocolError(
-            f"server error {error!r}: {response.get('detail')!r}"
-        )
-
     def __enter__(self) -> "RemoteTransaction":
         return self
 
@@ -155,7 +196,7 @@ class RemoteConnection:
         # Requests are tiny; don't let Nagle hold one back for an ACK.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._codec = JSON_CODEC
-        self._reader = LineReader(self._sock)
+        self._reader = FrameReader(self._sock)
         self._next_id = 0
         #: The codec actually in effect after negotiation.  Stays
         #: ``"json"`` when the server declines (or predates) ``hello``.
@@ -163,20 +204,18 @@ class RemoteConnection:
         self.clock = VirtualClock()
         self._synchronize_clock()
         if codec != JSON_CODEC.name:
-            self._negotiate_codec(codec)
+            self._request_codec(codec)
         self._timestamps = TimestampGenerator(site=site, clock=self.clock.now)
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _negotiate_codec(self, name: str) -> None:
+    def _request_codec(self, name: str) -> None:
         # An old server answers hello with ``unknown-op`` — not ok, so the
         # connection simply stays on JSON and everything keeps working.
         response = self._request({"op": "hello", "codecs": [name]})
         if response.get("ok") and response.get("codec") == name:
             self._codec = CODECS[name]
-            self._reader = self._codec.make_reader(
-                self._sock, self._reader.buffer
-            )
+            self._reader.switch(self._codec)
             self.negotiated_codec = name
 
     def _request(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -238,32 +277,13 @@ class RemoteConnection:
         use it to pin the ordering between transactions from different
         connections, whose clocks may disagree by a few milliseconds.
         """
-        if isinstance(bounds, EpsilonLevel):
-            bounds = bounds.transaction
-        if isinstance(bounds, TransactionBounds):
-            limit = bounds.import_limit if kind == "query" else bounds.export_limit
-        else:
-            limit = float(bounds)
         if timestamp is None:
             timestamp = self._timestamps.next()
-        response = self._request(
-            {
-                "op": "begin",
-                "kind": kind,
-                "limit": limit,
-                "timestamp": list(timestamp),
-                "group_limits": group_limits or {},
-                "object_limits": {
-                    str(k): v for k, v in (object_limits or {}).items()
-                },
-            }
+        limit, message = begin_request(
+            kind, bounds, timestamp, group_limits, object_limits
         )
-        if not response.get("ok"):
-            raise ProtocolError(
-                f"begin failed: {response.get('error')!r} "
-                f"{response.get('detail')!r}"
-            )
-        return RemoteTransaction(self, int(response["txn"]), kind, limit=limit)
+        txn_id = begun_transaction(self._request(message))
+        return RemoteTransaction(self, txn_id, kind, limit=limit)
 
     def run_program(
         self,

@@ -36,10 +36,17 @@ and stays on JSON.  The codecs are exposed as a small registry
 (:data:`CODECS`, :func:`negotiate_hello`), and each codec carries its
 own canonical-read fast path for the servers' snapshot-cache inline
 answers (:meth:`Codec.parse_canonical_read` /
-:meth:`Codec.encode_read_outcome`) — the byte-level regex fast path that
-used to live in the asyncio server is now just the JSON codec's
-implementation of that hook.  The frame layouts are documented in
+:meth:`Codec.encode_read_outcome`).  The frame layouts are documented in
 ``docs/protocol.md``.
+
+Framing lives here once, without I/O: :meth:`Codec.split` cuts a byte
+buffer into complete frames plus the unconsumed tail (enforcing the size
+cap), :meth:`Codec.join` is its exact inverse (what makes a codec switch
+in the middle of a buffer lossless — binary frames may contain
+``0x0A``), and :meth:`Codec.decode` turns one frame into a message.  The
+servers reach them through :class:`repro.net.requests.Conversation`;
+blocking callers (the synchronous client, tests) through
+:class:`FrameReader`.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import math
 import re
 import socket
 import struct
+from collections import deque
 from typing import Any
 
 from repro import perf
@@ -58,11 +66,7 @@ __all__ = [
     "encode_message",
     "encode_response",
     "decode_message",
-    "send_message",
-    "recv_message",
-    "LineReader",
-    "BinaryFrameReader",
-    "LineTooLong",
+    "FrameReader",
     "MAX_LINE_BYTES",
     "MAX_FRAME_BYTES",
     "Codec",
@@ -93,15 +97,6 @@ MAX_LINE_BYTES = 1 << 20
 
 #: The same cap for one binary frame (length prefix + type + payload).
 MAX_FRAME_BYTES = MAX_LINE_BYTES
-
-
-class LineTooLong(ProtocolError):
-    """A protocol line (or binary frame) exceeded the 1 MiB cap.
-
-    Distinguished from other :class:`~repro.errors.ProtocolError` cases so
-    servers can answer a structured ``{"error": "too_large"}`` before
-    disconnecting rather than a generic protocol failure.
-    """
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
@@ -175,35 +170,7 @@ def encode_response(response: dict[str, Any]) -> bytes:
 
 
 def decode_message(line: bytes) -> dict[str, Any]:
-    """Parse one JSON line into a message dict.
-
-    The two hottest requests on the wire — ``read`` and ``commit`` as the
-    reference clients format them — are matched byte-exactly and parsed
-    without the JSON machinery; any other byte sequence (reordered keys,
-    whitespace, extra fields) takes the general parser, so the accepted
-    language is unchanged.
-    """
-    if line.startswith(b'{"op":"read","txn":') and line.endswith(b"}"):
-        cut1 = line.find(b',"object":', 19)
-        cut2 = line.find(b',"id":', cut1 + 10) if cut1 > 0 else -1
-        if cut2 > 0:
-            txn = line[19:cut1]
-            obj = line[cut1 + 10 : cut2]
-            tag = line[cut2 + 6 : -1]
-            if txn.isdigit() and obj.isdigit() and tag.isdigit():
-                return {
-                    "op": "read",
-                    "txn": int(txn),
-                    "object": int(obj),
-                    "id": int(tag),
-                }
-    elif line.startswith(b'{"op":"commit","txn":') and line.endswith(b"}"):
-        cut1 = line.find(b',"id":', 21)
-        if cut1 > 0:
-            txn = line[21:cut1]
-            tag = line[cut1 + 6 : -1]
-            if txn.isdigit() and tag.isdigit():
-                return {"op": "commit", "txn": int(txn), "id": int(tag)}
+    """Parse one JSON line into a message dict."""
     try:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -213,55 +180,6 @@ def decode_message(line: bytes) -> dict[str, Any]:
             f"protocol message must be a JSON object, got {type(message).__name__}"
         )
     return message
-
-
-def send_message(sock: socket.socket, message: dict[str, Any]) -> None:
-    sock.sendall(encode_response(message))
-
-
-class LineReader:
-    """Buffered newline-delimited reader over a socket."""
-
-    def __init__(self, sock: socket.socket, initial: bytes = b""):
-        self._sock = sock
-        self._buffer = initial
-
-    @property
-    def buffer(self) -> bytes:
-        """Bytes received but not yet consumed (handed to the binary
-        frame reader when a connection switches codecs mid-stream)."""
-        return self._buffer
-
-    def read_message(self) -> dict[str, Any] | None:
-        """The next decoded message, or None at a clean EOF."""
-        line = self.read_line()
-        if line is None:
-            return None
-        return decode_message(line)
-
-    def read_line(self) -> bytes | None:
-        """The next complete line (without newline), or None at EOF."""
-        while b"\n" not in self._buffer:
-            if len(self._buffer) > MAX_LINE_BYTES:
-                raise LineTooLong(
-                    f"protocol line exceeds {MAX_LINE_BYTES} bytes"
-                )
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                if self._buffer:
-                    raise ProtocolError("connection closed mid-line")
-                return None
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line
-
-
-def recv_message(reader: LineReader) -> dict[str, Any] | None:
-    """The next message from the reader, or None at a clean EOF."""
-    line = reader.read_line()
-    if line is None:
-        return None
-    return decode_message(line)
 
 
 # -- the binary codec (``binary-1``) -------------------------------------------
@@ -348,6 +266,8 @@ class Codec:
 
     name: str = "?"
     version: int = 0
+    #: What one frame is called in error texts ("closed mid-line").
+    unit: str = "frame"
 
     def encode_request(self, message: dict[str, Any]) -> bytes:
         raise NotImplementedError
@@ -355,7 +275,22 @@ class Codec:
     def encode_response(self, response: dict[str, Any]) -> bytes:
         raise NotImplementedError
 
-    def make_reader(self, sock: socket.socket, initial: bytes = b""):
+    def split(self, buffer: bytes) -> tuple[list[bytes], bytes, str | None]:
+        """``(frames, tail, too_large)``: the complete frames at the head
+        of ``buffer`` (delimiters stripped) and the unconsumed rest.
+
+        When a frame breaks the size cap, ``too_large`` is the error
+        detail, ``frames`` holds what preceded it and the tail starts at
+        the offender.
+        """
+        raise NotImplementedError
+
+    def join(self, frames: list[bytes], tail: bytes) -> bytes:
+        """The exact inverse of :meth:`split`: the bytes it was given."""
+        raise NotImplementedError
+
+    def decode(self, frame: bytes) -> dict[str, Any]:
+        """One frame (as :meth:`split` cut it) to its message dict."""
         raise NotImplementedError
 
     def parse_canonical_read(self, frame: bytes):
@@ -372,6 +307,7 @@ class JsonCodec(Codec):
 
     name = "json"
     version = 0
+    unit = "line"
 
     def encode_request(self, message: dict[str, Any]) -> bytes:
         return encode_message(message)
@@ -379,8 +315,25 @@ class JsonCodec(Codec):
     def encode_response(self, response: dict[str, Any]) -> bytes:
         return encode_response(response)
 
-    def make_reader(self, sock: socket.socket, initial: bytes = b"") -> LineReader:
-        return LineReader(sock, initial)
+    def split(self, buffer: bytes) -> tuple[list[bytes], bytes, str | None]:
+        lines = buffer.split(b"\n")
+        # No line outgrows the cap unless the whole buffer does, so the
+        # common chunk pays one length check, not one per line.
+        if len(buffer) > MAX_LINE_BYTES:
+            for index, line in enumerate(lines):
+                if len(line) > MAX_LINE_BYTES:
+                    return (
+                        lines[:index],
+                        b"\n".join(lines[index:]),
+                        f"protocol line exceeds {MAX_LINE_BYTES} bytes",
+                    )
+        tail = lines.pop()
+        return lines, tail, None
+
+    def join(self, frames: list[bytes], tail: bytes) -> bytes:
+        return b"\n".join(frames + [tail])
+
+    decode = staticmethod(decode_message)
 
     # The exact read-request bytes every pipelining client emits.  A hit
     # skips ``json.loads`` *and* ``json.dumps`` for the whole round trip;
@@ -655,10 +608,27 @@ class BinaryCodec(Codec):
             return message
         raise ProtocolError(f"unknown binary frame type 0x{kind:02x}")
 
-    def make_reader(
-        self, sock: socket.socket, initial: bytes = b""
-    ) -> "BinaryFrameReader":
-        return BinaryFrameReader(self, sock, initial)
+    def split(self, buffer: bytes) -> tuple[list[bytes], bytes, str | None]:
+        frames = []
+        pos = 0
+        end = len(buffer)
+        while end - pos >= 4:
+            size = int.from_bytes(buffer[pos : pos + 4], "little")
+            if size < 1 or size > MAX_FRAME_BYTES:
+                return (
+                    frames,
+                    buffer[pos:],
+                    f"binary frame of {size} bytes exceeds "
+                    f"{MAX_FRAME_BYTES} bytes",
+                )
+            if end - pos - 4 < size:
+                break
+            pos += 4 + size
+            frames.append(buffer[pos - size : pos])
+        return frames, buffer[pos:], None
+
+    def join(self, frames: list[bytes], tail: bytes) -> bytes:
+        return b"".join(len(f).to_bytes(4, "little") + f for f in frames) + tail
 
     def parse_canonical_read(self, frame: bytes):
         if len(frame) == 25 and frame[0] == FRAME_READ:
@@ -666,6 +636,9 @@ class BinaryCodec(Codec):
         return None
 
     def encode_read_outcome(self, outcome, rid) -> bytes:
+        # A cache hit on a canonical read frame never reaches decode(),
+        # where the decode counter normally ticks.
+        perf.counters.net_codec_binary_frames_decoded += 1
         case = _CASE_CODE.get(outcome.esr_case, -1)
         if case >= 0 and _is_u64(rid):
             perf.counters.net_codec_binary_frames_encoded += 1
@@ -683,48 +656,6 @@ class BinaryCodec(Codec):
         return self.encode_response(response)
 
 
-class BinaryFrameReader:
-    """Buffered length-prefixed frame reader over a socket."""
-
-    def __init__(self, codec: BinaryCodec, sock: socket.socket, initial: bytes = b""):
-        self._codec = codec
-        self._sock = sock
-        self._buffer = initial
-
-    @property
-    def buffer(self) -> bytes:
-        return self._buffer
-
-    def read_message(self) -> dict[str, Any] | None:
-        """The next decoded message, or None at a clean EOF."""
-        frame = self.read_frame()
-        if frame is None:
-            return None
-        return self._codec.decode(frame)
-
-    def read_frame(self) -> bytes | None:
-        """The next frame body (type + payload), or None at EOF."""
-        while True:
-            buffered = len(self._buffer)
-            if buffered >= 4:
-                size = int.from_bytes(self._buffer[:4], "little")
-                if size < 1 or size > MAX_FRAME_BYTES:
-                    raise LineTooLong(
-                        f"binary frame of {size} bytes exceeds "
-                        f"{MAX_FRAME_BYTES} bytes"
-                    )
-                if buffered >= 4 + size:
-                    frame = self._buffer[4 : 4 + size]
-                    self._buffer = self._buffer[4 + size :]
-                    return frame
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                if self._buffer:
-                    raise ProtocolError("connection closed mid-frame")
-                return None
-            self._buffer += chunk
-
-
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
 
@@ -736,6 +667,47 @@ CODECS: dict[str, Codec] = {
 
 #: Codecs a stock server offers, in preference order.
 SUPPORTED_CODECS = (BINARY_CODEC.name, JSON_CODEC.name)
+
+
+class FrameReader:
+    """Blocking buffered reader of one codec's frames over a socket."""
+
+    def __init__(self, sock: socket.socket, codec: Codec = JSON_CODEC):
+        self._sock = sock
+        self._codec = codec
+        self._frames: deque[bytes] = deque()
+        self._tail = b""
+        self._too_large: str | None = None
+
+    def switch(self, codec: Codec) -> None:
+        """Read ``codec`` from here on — losslessly: what was already
+        received and split under the old codec is put back first."""
+        self._tail = self._codec.join(list(self._frames), self._tail)
+        self._frames.clear()
+        self._codec = codec
+
+    def read_message(self) -> dict[str, Any] | None:
+        """The next decoded message, or None at a clean EOF."""
+        frame = self.read_frame()
+        if frame is None:
+            return None
+        return self._codec.decode(frame)
+
+    def read_frame(self) -> bytes | None:
+        """The next complete frame (delimiter stripped), or None at EOF."""
+        while not self._frames:
+            if self._too_large is not None:
+                raise ProtocolError(self._too_large)
+            chunk = self._sock.recv(65536)
+            if not chunk:
+                if self._tail:
+                    raise ProtocolError(f"connection closed mid-{self._codec.unit}")
+                return None
+            frames, self._tail, self._too_large = self._codec.split(
+                self._tail + chunk
+            )
+            self._frames.extend(frames)
+        return self._frames.popleft()
 
 
 def negotiate_hello(

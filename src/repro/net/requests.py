@@ -1,13 +1,17 @@
-"""Runtime-agnostic request handling shared by both network servers.
+"""Everything about a client connection that is not I/O.
 
 The threaded server (:mod:`repro.net.server`) and the asyncio server
-(:mod:`repro.net.aioserver`) speak the identical wire protocol, enforced
-by building every response through this module.  What differs between
-them is *waiting*: the engine answers
-:class:`~repro.engine.results.MustWait` synchronously, and each runtime
-parks the blocked operation its own way (a ``threading.Event`` on a
-worker thread, an ``asyncio.Event`` on the loop).  So the split is:
+(:mod:`repro.net.aioserver`) are *transports*: they move bytes, decide
+when to run a request and how to wait.  What the bytes mean is decided
+here, once, for both:
 
+* :class:`Conversation` — one connection's protocol state, without I/O.
+  The transport feeds it the bytes it received; the conversation frames
+  them under the codec in effect (:meth:`Codec.split
+  <repro.net.protocol.Codec.split>`, size caps included), negotiates
+  ``hello``, answers snapshot-cache reads on the spot, and hands back,
+  in wire order, responses to send and requests to dispatch.  It also
+  owns the session map and aborts what a vanished client left active.
 * :func:`submit_request` — parse one request, run it against any
   :class:`~repro.engine.api.Engine`, and return either a complete
   response dict or a :class:`NeedsWait` marker;
@@ -16,33 +20,45 @@ worker thread, an ``asyncio.Event`` on the loop).  So the split is:
 * :func:`abort_on_timeout` — give up on a parked operation whose blocker
   never finished.
 
-Callers must serialise all three against the engine (the threaded
-server's mutex, or the asyncio server's single-threaded loop) — unless
-the engine declares ``thread_safe`` (the sharded composite), which takes
-its own per-shard locks internally.
+*Waiting* is the transport's: the engine answers
+:class:`~repro.engine.results.MustWait` synchronously, and each runtime
+parks the blocked operation its own way (a ``threading.Event`` on a
+worker thread, an ``asyncio.Event`` on the loop).
+
+Callers must serialise :func:`submit_request`, :func:`retry_operation`,
+:func:`abort_on_timeout` and :meth:`Conversation.abandon` against the
+engine (the threaded server's mutex, or the asyncio server's
+single-threaded loop) — unless the engine declares ``thread_safe`` (the
+sharded composite), which takes its own per-shard locks internally.
+:meth:`Conversation.feed` needs no such care: the only engine call it
+makes is the snapshot cache's read of immutable published records.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.bounds import TransactionBounds
 from repro.engine.api import Engine
+from repro.engine.reasons import REASON_CLIENT_DISCONNECTED
 from repro.engine.results import Granted, MustWait, Rejected
 from repro.engine.timestamps import Timestamp
 from repro.engine.transactions import TransactionState
-from repro.errors import InvalidOperation, UnknownObjectError
+from repro.errors import InvalidOperation, ProtocolError, UnknownObjectError
+from repro.net.protocol import JSON_CODEC, Codec, negotiate_hello
 
 __all__ = [
+    "Conversation",
+    "Failure",
     "NeedsWait",
     "submit_request",
     "submit_batch",
     "retry_operation",
     "abort_on_timeout",
     "attach_id",
-    "try_cached_read",
 ]
 
 
@@ -73,43 +89,175 @@ def attach_id(response: dict[str, Any], message: dict[str, Any]) -> dict[str, An
     return response
 
 
-def try_cached_read(
-    manager: Engine,
-    message: dict[str, Any],
-    sessions: dict[int, TransactionState],
-) -> dict[str, Any] | None:
-    """Serve a read from the snapshot cache, bypassing the engine path.
+@dataclass(slots=True)
+class Failure:
+    """A framing-level failure — always the last item of a conversation.
 
-    Returns a complete response dict on a cache hit, or ``None`` when the
-    request is not a cacheable read (wrong op, unknown transaction,
-    malformed object id) or the cache declined (unpublished object, bound
-    does not fit, read-your-writes) — the caller then falls through to
-    the normal :func:`submit_request` path, which re-executes the read
-    under the engine critical section.
-
-    The hit path never mutates the live database and never aborts, so —
-    unlike :func:`submit_request` — callers may invoke it *outside* the
-    engine critical section, provided operations of one transaction stay
-    ordered (both servers already serialise per connection).
+    The transport answers it after everything received before it, then
+    closes the connection.
     """
-    if manager.snapshot is None or message.get("op") != "read":
+
+    error: str
+    detail: str
+
+    def response(self) -> dict[str, Any]:
+        return {"ok": False, "error": self.error, "detail": self.detail}
+
+
+class Conversation:
+    """One client connection's protocol state, without I/O.
+
+    A transport creates one per connection, passes every received chunk
+    to :meth:`feed` and acts on what comes back; :meth:`eof` and
+    :meth:`abandon` end it.  Both servers hold ``manager`` and ``codecs``
+    already — the conversation has no settings of its own.
+    """
+
+    __slots__ = (
+        "manager", "codecs", "codec", "sessions", "pending_ops", "tail", "failed"
+    )
+
+    def __init__(self, manager: Engine, codecs: tuple[str, ...] | None):
+        self.manager = manager
+        #: Codecs offered to ``hello`` negotiation; None disables it
+        #: (``hello`` then earns ``unknown-op``, like any pre-negotiation
+        #: server would answer).
+        self.codecs = codecs
+        #: Wire codec in effect (starts JSON; ``hello`` may switch it).
+        self.codec: Codec = JSON_CODEC
+        #: Transactions begun on this connection, so a dropped client's
+        #: in-flight transactions can be aborted on disconnect.
+        self.sessions: dict[int, TransactionState] = {}
+        #: Per-transaction count of requests handed to the transport and
+        #: not yet :meth:`answered`.  An inline cache answer must not be
+        #: given while an earlier operation of the *same* transaction is
+        #: still outstanding — that would reorder the transaction's own
+        #: execution (e.g. a read overtaking its own pending write).
+        self.pending_ops: dict[Any, int] = {}
+        self.tail = b""  # received, not yet a complete frame
+        self.failed = False  # a Failure was issued; further input is ignored
+
+    def feed(self, data: bytes) -> Iterator["bytes | dict[str, Any] | Failure"]:
+        """Take received bytes; yield, in wire order, what they call for.
+
+        * ``bytes`` — an encoded response, ready to send: a ``hello``
+          answer or a snapshot-cache hit.  These never enter the
+          transport's dispatch path (nor its in-flight window).
+        * ``dict`` — a request for the transport to dispatch
+          (:func:`submit_request`); it calls :meth:`answered` once the
+          response exists.
+        * :class:`Failure` — last item; answer in order, then close.
+        """
+        if self.failed:
+            return
+        codec = self.codec
+        frames, self.tail, too_large = codec.split(self.tail + data)
+        manager = self.manager
+        cache = manager.snapshot is not None
+        pending_ops = self.pending_ops
+        for index, frame in enumerate(frames):
+            if cache:
+                # Inline fast path: answer a bounded-staleness read right
+                # here — no dispatch, and for the canonical wire shape no
+                # dict either (the frame is parsed and the response
+                # formatted at the byte level).  Only when no earlier op
+                # of the same transaction is still outstanding
+                # (per-transaction order must hold; ops of *other*
+                # transactions may be overtaken, which pipelining already
+                # allows).
+                parsed = codec.parse_canonical_read(frame)
+                if parsed is not None and not pending_ops.get(parsed[0], 0):
+                    outcome = self._read_cached(parsed[0], parsed[1])
+                    if outcome is not None:
+                        yield codec.encode_read_outcome(outcome, parsed[2])
+                        continue
+            try:
+                message = codec.decode(frame)
+            except ProtocolError as exc:
+                yield self._fail("protocol", str(exc))
+                return
+            if self.codecs is not None and message.get("op") == "hello":
+                # Answer on the current codec, then — on a switch — put
+                # the rest of this chunk back together exactly (binary
+                # frames may contain 0x0A) and read it as the new codec.
+                chosen, response = negotiate_hello(message, self.codecs)
+                yield codec.encode_response(attach_id(response, message))
+                if chosen is not codec:
+                    rest = codec.join(frames[index + 1 :], self.tail)
+                    self.codec = chosen
+                    self.tail = b""
+                    yield from self.feed(rest)
+                    return
+                continue
+            txn = message.get("txn")
+            try:
+                claims = pending_ops.get(txn, 0)
+            except TypeError:
+                # ``txn`` is a JSON array or object: it can key neither a
+                # claim nor a session, and submit_request's own session
+                # lookup fails the same way before any engine call — so
+                # it words the ``bad-request`` here, outside dispatch.
+                response = submit_request(manager, message, self.sessions)
+                yield codec.encode_response(attach_id(response, message))
+                continue
+            if cache and not claims and message.get("op") == "read":
+                # Same fast path for a read in any other wire shape
+                # (different key order, extra keys): decoded normally,
+                # still answered before dispatch.
+                try:
+                    outcome = self._read_cached(txn, int(message["object"]))
+                except (KeyError, TypeError, ValueError):
+                    outcome = None  # malformed: dispatch words the refusal
+                if outcome is not None:
+                    response = _read_response(outcome)
+                    yield codec.encode_response(attach_id(response, message))
+                    continue
+            if txn is not None:
+                pending_ops[txn] = claims + 1
+            yield message
+        if too_large is not None:
+            yield self._fail("too_large", too_large)
+
+    def _read_cached(self, txn_id: Any, object_id: int) -> Granted | None:
+        """The snapshot cache's answer to a read of this connection, or
+        None: no such transaction here, or the cache declined
+        (unpublished object, bound does not fit, read-your-writes) — the
+        read then goes to dispatch and is re-executed under the engine
+        critical section.  A hit never mutates the live database and
+        never aborts, which is why it may happen outside that section,
+        provided operations of one transaction stay ordered."""
+        txn = self.sessions.get(txn_id)
+        return None if txn is None else self.manager.read_cached(txn, object_id)
+
+    def answered(self, message: dict[str, Any]) -> None:
+        """The transport has the response to a request :meth:`feed`
+        yielded: drop its transaction's claim."""
+        txn = message.get("txn")
+        if txn is None:
+            return
+        count = self.pending_ops.get(txn, 0) - 1
+        if count > 0:
+            self.pending_ops[txn] = count
+        else:
+            self.pending_ops.pop(txn, None)
+
+    def eof(self) -> Failure | None:
+        """The peer closed its side; a Failure if that was mid-frame."""
+        if self.tail and not self.failed:
+            return self._fail("protocol", f"connection closed mid-{self.codec.unit}")
         return None
-    txn = sessions.get(message.get("txn", -1))
-    if txn is None:
-        return None
-    try:
-        object_id = int(message["object"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    outcome = manager.read_cached(txn, object_id)
-    if outcome is None:
-        return None
-    return {
-        "ok": True,
-        "value": outcome.value,
-        "inconsistency": outcome.inconsistency,
-        "esr_case": outcome.esr_case,
-    }
+
+    def abandon(self) -> None:
+        """The connection is gone: abort whatever it left active."""
+        for txn in self.sessions.values():
+            if txn.is_active:
+                self.manager.abort(txn, REASON_CLIENT_DISCONNECTED)
+        self.sessions.clear()
+
+    def _fail(self, error: str, detail: str) -> Failure:
+        self.failed = True
+        self.tail = b""
+        return Failure(error, detail)
 
 
 def submit_request(
@@ -121,8 +269,11 @@ def submit_request(
     op = message.get("op")
     txn = None
     try:
+        # Looked up for every op: a ``txn`` that cannot be a key (a JSON
+        # array or object) is a ``bad-request`` before the engine is
+        # touched, whatever the operation.
+        txn = sessions.get(message.get("txn", -1))
         if op in ("read", "write", "commit", "abort"):
-            txn = sessions.get(message.get("txn", -1))
             if txn is None:
                 return {
                     "ok": False,
@@ -227,12 +378,7 @@ def _resolve(
         return pending
     if isinstance(outcome, Granted):
         if pending.op == "read":
-            return {
-                "ok": True,
-                "value": outcome.value,
-                "inconsistency": outcome.inconsistency,
-                "esr_case": outcome.esr_case,
-            }
+            return _read_response(outcome)
         return {
             "ok": True,
             "inconsistency": outcome.inconsistency,
@@ -247,6 +393,15 @@ def _resolve(
         "error": "aborted",
         "reason": outcome.reason,
         "detail": outcome.detail,
+    }
+
+
+def _read_response(outcome: Granted) -> dict[str, Any]:
+    return {
+        "ok": True,
+        "value": outcome.value,
+        "inconsistency": outcome.inconsistency,
+        "esr_case": outcome.esr_case,
     }
 
 

@@ -5,9 +5,13 @@ This is the "real" counterpart of the simulator — a multithreaded server
 prototype) fronting one :class:`~repro.engine.manager.TransactionManager`.
 It is kept as the *fidelity baseline*: one request, one response, one
 thread per connection.  The high-throughput sibling is
-:mod:`repro.net.aioserver`; both speak the identical wire protocol (a
-shared conformance suite holds them to it) and both build responses via
-:mod:`repro.net.requests`.
+:mod:`repro.net.aioserver`; both are transports around the same
+:class:`repro.net.requests.Conversation`, which owns everything about a
+connection that is not I/O — framing, size caps, ``hello`` negotiation,
+inline snapshot-cache answers, disconnect clean-up — so the wire
+contract cannot differ between them (a shared conformance suite checks
+that it does not).  What this module adds is how requests *run*: a
+blocking ``recv``, one dispatch at a time, a ``sendall`` per response.
 
 Concurrency discipline: the engine is single-threaded by design, so every
 manager call happens under one mutex (the scheduler's critical section).
@@ -18,17 +22,13 @@ completes.  Because waiters only wait on older transactions, this cannot
 deadlock; a timeout (the ``wait_timeout`` constructor/CLI parameter)
 guards against a client that dies while holding an uncommitted write.
 
-Pipelining note: this server reads one request at a time per connection
-and answers before reading the next, so pipelined clients get their
-responses strictly in request order.
+Pipelining note: this server runs one request at a time per connection
+and answers it before looking at the next, so pipelined clients get
+their responses strictly in request order.
 
-Codec note: every connection starts in JSON line mode; a ``hello``
-request negotiates the wire codec (:func:`repro.net.protocol.
-negotiate_hello`) and the connection switches framing immediately after
-the (JSON) hello response.  ``codecs=None`` disables negotiation
-entirely — the server then behaves byte-for-byte like a pre-negotiation
-build (``hello`` falls through to dispatch and earns ``unknown-op``),
-which is how the tests emulate an old server.
+``codecs=None`` disables ``hello`` negotiation entirely — the server then
+behaves byte-for-byte like a pre-negotiation build (``hello`` earns
+``unknown-op``), which is how the tests emulate an old server.
 """
 
 from __future__ import annotations
@@ -41,23 +41,15 @@ from typing import Any
 
 from repro.engine.api import create_engine
 from repro.engine.database import Database
-from repro.engine.reasons import REASON_CLIENT_DISCONNECTED
 from repro.engine.transactions import TransactionState
-from repro.errors import ProtocolError
-from repro.net.protocol import (
-    JSON_CODEC,
-    SUPPORTED_CODECS,
-    Codec,
-    LineTooLong,
-    negotiate_hello,
-)
+from repro.net.protocol import SUPPORTED_CODECS
 from repro.net.requests import (
+    Conversation,
     NeedsWait,
     abort_on_timeout,
     attach_id,
     retry_operation,
     submit_request,
-    try_cached_read,
 )
 
 __all__ = ["TransactionServer", "serve_forever", "WAIT_TIMEOUT_SECONDS"]
@@ -69,61 +61,47 @@ WAIT_TIMEOUT_SECONDS = 30.0
 
 
 class _Handler(socketserver.StreamRequestHandler):
-    """One client connection: a request/response loop."""
+    """One client connection: recv, feed the conversation, act on it."""
 
     server: "TransactionServer"
 
     def handle(self) -> None:
+        sock = self.connection
         # Small responses must not sit in Nagle's buffer waiting for the
         # client's delayed ACK — a pipelining client would otherwise see
         # ~40ms stalls between back-to-back responses.
-        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        codec: Codec = JSON_CODEC
-        reader = codec.make_reader(self.connection)
-        # Transactions begun on this connection, so a dropped client's
-        # in-flight transaction can be aborted on disconnect.
-        sessions: dict[int, TransactionState] = {}
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        server = self.server
+        conv = Conversation(server.manager, server.codecs)
         try:
             while True:
-                try:
-                    message = reader.read_message()
-                except LineTooLong as exc:
-                    self._send(
-                        codec,
-                        {"ok": False, "error": "too_large", "detail": str(exc)},
-                    )
+                data = sock.recv(65536)
+                if not data:
+                    failure = conv.eof()
+                    if failure is not None:
+                        self._send(conv, failure.response())
                     return
-                except ProtocolError as exc:
-                    self._send(
-                        codec,
-                        {"ok": False, "error": "protocol", "detail": str(exc)},
-                    )
-                    return
-                if message is None:
-                    return
-                if self.server.codecs is not None and message.get("op") == "hello":
-                    # Negotiate, answer on the *current* codec, then switch
-                    # framing — handing any already-buffered bytes to the
-                    # new reader losslessly.
-                    codec, reader = self._negotiate(codec, message, reader)
-                    continue
-                response = self.server.dispatch(message, sessions)
-                self._send(codec, attach_id(response, message))
+                # The conversation yields lazily: each request is
+                # dispatched and answered before the next frame is even
+                # looked at, hence the strict response order.
+                for item in conv.feed(data):
+                    if type(item) is dict:
+                        response = server.dispatch(item, conv.sessions)
+                        conv.answered(item)
+                        self._send(conv, attach_id(response, item))
+                    elif type(item) is bytes:
+                        sock.sendall(item)
+                    else:  # the final Failure
+                        self._send(conv, item.response())
+                        return
         except (ConnectionError, BrokenPipeError, OSError):
             pass
         finally:
-            self.server.abandon(sessions)
+            with server._mutex:
+                conv.abandon()
 
-    def _negotiate(self, codec: Codec, message: dict[str, Any], reader):
-        chosen, response = negotiate_hello(message, self.server.codecs)
-        self._send(codec, attach_id(response, message))
-        if chosen is not codec:
-            reader = chosen.make_reader(self.connection, reader.buffer)
-            codec = chosen
-        return codec, reader
-
-    def _send(self, codec: Codec, response: dict[str, Any]) -> None:
-        self.connection.sendall(codec.encode_response(response))
+    def _send(self, conv: Conversation, response: dict[str, Any]) -> None:
+        self.connection.sendall(conv.codec.encode_response(response))
 
 
 class TransactionServer(socketserver.ThreadingTCPServer):
@@ -192,14 +170,6 @@ class TransactionServer(socketserver.ThreadingTCPServer):
         self, message: dict[str, Any], sessions: dict[int, TransactionState]
     ) -> dict[str, Any]:
         """Execute one request, blocking this thread through any waits."""
-        # Snapshot-cache fast path: bounded-staleness reads are answered
-        # from immutable published records without taking the mutex at
-        # all.  Per-transaction ordering holds because one connection (and
-        # therefore one transaction) is served by one handler thread
-        # sequentially.  A None falls through to the engine path below.
-        cached = try_cached_read(self.manager, message, sessions)
-        if cached is not None:
-            return cached
         with self._mutex:
             result = submit_request(self.manager, message, sessions)
             waiter = self._register_wait(result)
@@ -222,16 +192,6 @@ class TransactionServer(socketserver.ThreadingTCPServer):
             result.blocking_transaction,
             waiter_transaction=result.txn.transaction_id,
         )
-
-    # -- connection cleanup ----------------------------------------------------
-
-    def abandon(self, sessions: dict[int, TransactionState]) -> None:
-        """Abort whatever a disconnected client left active."""
-        with self._mutex:
-            for txn in sessions.values():
-                if txn.is_active:
-                    self.manager.abort(txn, REASON_CLIENT_DISCONNECTED)
-        sessions.clear()
 
     def history(self) -> "HistoryLog":
         """The recorded history so far (empty when recording is off)."""

@@ -20,7 +20,10 @@ from repro.engine.database import Database
 from repro.errors import ProtocolError
 from repro.net.aioserver import serve_in_thread as serve_async
 from repro.net.protocol import (
+    BINARY_CODEC,
+    JSON_CODEC,
     MAX_LINE_BYTES,
+    FrameReader,
     decode_message,
     encode_message,
     encode_response,
@@ -236,6 +239,97 @@ class TestWireEdgeCases:
         assert not server.manager.active_transactions()
         # The staged write never took effect.
         assert server.manager.database.get(5).committed_value == 500.0
+
+
+#: ``txn`` values JSON can carry but no dict can be keyed by.
+MALFORMED_TXN = [
+    {"op": "read", "txn": [1], "object": 1},
+    {"op": "commit", "txn": {"a": 1}, "id": 3},
+]
+
+
+def _start(kind: str, snapshot_cache: bool):
+    """``(server, stop)`` for one server kind, cache off or on."""
+    if kind == "threaded":
+        srv = serve_forever(_database(), snapshot_cache=snapshot_cache)
+        return srv, lambda: (srv.shutdown(), srv.server_close())
+    handle = serve_async(_database(), snapshot_cache=snapshot_cache)
+    return handle, handle.shutdown
+
+
+def _malformed_txn_exchange(port: int, message: dict, binary: bool) -> list[dict]:
+    """``time`` and a malformed-``txn`` request in one chunk, then a
+    ``time`` on its own: the three answers, the first two keyed by id."""
+    sock = _connect(port)
+    try:
+        reader = FrameReader(sock)
+        codec = JSON_CODEC
+        if binary:
+            sock.sendall(encode_message({"op": "hello", "codecs": ["binary-1"]}))
+            assert reader.read_message()["codec"] == "binary-1"
+            codec = BINARY_CODEC
+            reader.switch(codec)
+            assert codec.encode_request(message)[4] == 0x0F
+        sock.sendall(
+            codec.encode_request({"op": "time", "id": 1})
+            + codec.encode_request(message)
+        )
+        answers = {}
+        for _ in range(2):
+            answer = reader.read_message()
+            assert answer is not None, "the server dropped the connection"
+            answers[answer.get("id")] = answer
+        sock.sendall(codec.encode_request({"op": "time", "id": 9}))
+        return [answers[1], answers[message.get("id")], reader.read_message()]
+    finally:
+        sock.close()
+
+
+class TestMalformedTransactionId:
+    """A ``txn`` that is a JSON array or object is a ``bad-request`` on
+    every server — it used to kill the connection (an unhashable dict
+    key) wherever a cache lookup or an ordering claim came first, taking
+    the replies to earlier requests of the chunk with it."""
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["json", "0x0F"])
+    @pytest.mark.parametrize("message", MALFORMED_TXN, ids=["read", "commit"])
+    @pytest.mark.parametrize("snapshot_cache", [False, True], ids=["plain", "cache"])
+    @pytest.mark.parametrize("kind", ["threaded", "async"])
+    def test_bad_request_and_the_connection_lives(
+        self, kind, snapshot_cache, message, binary
+    ):
+        server, stop = _start(kind, snapshot_cache)
+        try:
+            before, refused, after = _malformed_txn_exchange(
+                server.port, message, binary
+            )
+        finally:
+            stop()
+        assert before["ok"] and "time" in before
+        assert refused["ok"] is False and refused["error"] == "bad-request"
+        assert after["ok"] and after["id"] == 9
+
+    @pytest.mark.parametrize("message", MALFORMED_TXN, ids=["read", "commit"])
+    def test_every_server_words_it_the_same(self, message):
+        refusals = []
+        for kind in ("threaded", "async"):
+            for snapshot_cache in (False, True):
+                server, stop = _start(kind, snapshot_cache)
+                try:
+                    refusals.append(
+                        _malformed_txn_exchange(server.port, message, False)[1]
+                    )
+                finally:
+                    stop()
+        assert all(refusal == refusals[0] for refusal in refusals)
+
+    def test_it_holds_for_every_operation(self, server):
+        """``begin`` ignores ``txn`` — but a ``txn`` no session map can
+        look up is refused before the engine is touched, whatever the op."""
+        message = {"op": "begin", "kind": "query", "txn": [1], "id": 5}
+        _, refused, _ = _malformed_txn_exchange(server.port, message, False)
+        assert refused["error"] == "bad-request"
+        assert not server.manager.active_transactions()
 
 
 class TestFastPathCodec:

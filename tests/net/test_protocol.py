@@ -8,13 +8,7 @@ import threading
 import pytest
 
 from repro.errors import ProtocolError
-from repro.net.protocol import (
-    LineReader,
-    decode_message,
-    encode_message,
-    recv_message,
-    send_message,
-)
+from repro.net.protocol import FrameReader, decode_message, encode_message
 
 
 class TestEncoding:
@@ -48,7 +42,7 @@ def socket_pair():
 class TestLineReader:
     def test_reads_messages_across_chunks(self):
         a, b = socket_pair()
-        reader = LineReader(b)
+        reader = FrameReader(b)
         payload = encode_message({"op": "ping", "n": 1}) + encode_message(
             {"op": "ping", "n": 2}
         )
@@ -60,9 +54,9 @@ class TestLineReader:
 
         thread = threading.Thread(target=feed)
         thread.start()
-        first = recv_message(reader)
-        second = recv_message(reader)
-        third = recv_message(reader)
+        first = reader.read_message()
+        second = reader.read_message()
+        third = reader.read_message()
         thread.join()
         assert first == {"op": "ping", "n": 1}
         assert second == {"op": "ping", "n": 2}
@@ -71,16 +65,16 @@ class TestLineReader:
 
     def test_eof_mid_line_is_error(self):
         a, b = socket_pair()
-        reader = LineReader(b)
+        reader = FrameReader(b)
         a.sendall(b'{"op": "tr')
         a.close()
         with pytest.raises(ProtocolError, match="mid-line"):
-            reader.read_line()
+            reader.read_frame()
         b.close()
 
     def test_send_recv_pair(self):
         a, b = socket_pair()
-        send_message(a, {"op": "time"})
-        assert recv_message(LineReader(b)) == {"op": "time"}
+        a.sendall(encode_message({"op": "time"}))
+        assert FrameReader(b).read_message() == {"op": "time"}
         a.close()
         b.close()

@@ -90,10 +90,12 @@ class TestBasicOperations:
             query.commit()
 
     def test_unknown_transaction_id(self, server, connection):
-        from repro.net.protocol import recv_message, send_message
+        from repro.net.protocol import encode_message
 
-        send_message(connection._sock, {"op": "read", "txn": 999, "object": 1})
-        response = recv_message(connection._reader)
+        connection._sock.sendall(
+            encode_message({"op": "read", "txn": 999, "object": 1})
+        )
+        response = connection._reader.read_message()
         assert not response["ok"]
         assert response["error"] == "unknown-transaction"
 
@@ -262,7 +264,7 @@ class TestSessionMapDoesNotLeak:
 
     def test_server_aborted_transactions_leave_the_map(self, impatient):
         from repro.engine.timestamps import Timestamp
-        from repro.net.protocol import recv_message, send_message
+        from repro.net.protocol import encode_message
 
         server, session_maps = impatient
         with RemoteConnection("127.0.0.1", server.port, site=1) as conn:
@@ -298,17 +300,19 @@ class TestSessionMapDoesNotLeak:
                 assert server.manager.active_transactions() == ()
                 # The dead id answers like any other finished one.
                 for op in ("read", "abort"):
-                    send_message(
-                        conn._sock, {"op": op, "txn": stale.txn_id, "object": 3}
+                    conn._sock.sendall(
+                        encode_message(
+                            {"op": op, "txn": stale.txn_id, "object": 3}
+                        )
                     )
-                    response = recv_message(conn._reader)
+                    response = conn._reader.read_message()
                     assert response["error"] == "unknown-transaction"
 
     def test_transaction_finished_behind_the_clients_back(self, impatient):
         """Aborted directly on the engine between two requests (what a
         shard failover does, with no connection in hand): the next
         request for it answers ``invalid`` and drops the entry."""
-        from repro.net.protocol import recv_message, send_message
+        from repro.net.protocol import encode_message
 
         server, session_maps = impatient
         with RemoteConnection("127.0.0.1", server.port, site=1) as conn:
@@ -318,9 +322,11 @@ class TestSessionMapDoesNotLeak:
             server.manager.abort(state, "shard-failover")
             errors = []
             for _ in range(2):
-                send_message(
-                    conn._sock, {"op": "read", "txn": txn.txn_id, "object": 3}
+                conn._sock.sendall(
+                    encode_message(
+                        {"op": "read", "txn": txn.txn_id, "object": 3}
+                    )
                 )
-                errors.append(recv_message(conn._reader)["error"])
+                errors.append(conn._reader.read_message()["error"])
             assert errors == ["invalid", "unknown-transaction"]
             assert [len(sessions) for sessions in session_maps()] == [0]

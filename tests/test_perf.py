@@ -6,12 +6,16 @@ import gc
 import sys
 import tracemalloc
 
+import pytest
+
 from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
 from repro.engine.api import create_engine
 from repro.engine.database import Database
 from repro.engine.results import Granted
 from repro.experiments import hotpath
+from repro.net.protocol import BINARY_CODEC, JSON_CODEC
+from repro.net.requests import Conversation
 from repro.perf import PerfCounters, counters, profile_call
 from repro.sim.des import Engine, Timeout
 from repro.sim.server import SimServer
@@ -224,6 +228,58 @@ class TestGenerationCostIgnoresDatabaseSize:
         for small, large in zip(per_program[1_000], per_program[16_000]):
             assert small > 0
             assert large / small <= 1.5
+
+
+class TestIngestCostPerRequest:
+    """A count, not a timing: what ``Conversation.feed`` executes for one
+    request of a 64-request chunk (cache off, the benchmark's setting),
+    so per-request ingest cost cannot grow silently behind host noise."""
+
+    REQUESTS = 64
+
+    @staticmethod
+    def _chunks() -> dict:
+        pack = BINARY_CODEC
+        mix = [
+            frame
+            for i in range(16)
+            for frame in (
+                pack.pack_begin(0, 10.0, 4 * i, (1.0 + i, 1, 0)),
+                pack.pack_read(i + 1, 3, 4 * i + 1),
+                pack.pack_write(i + 1, 4, 1.0, 4 * i + 2),
+                pack.pack_commit(i + 1, 4 * i + 3),
+            )
+        ]
+        reads = [
+            b'{"op":"read","txn":%d,"object":%d,"id":%d}\n' % (i % 4 + 1, i % 10 + 1, i)
+            for i in range(64)
+        ]
+        return {"json": (JSON_CODEC, b"".join(reads)), "binary-1": (pack, b"".join(mix))}
+
+    # Opcode counts differ between interpreter versions; CI runs 3.11.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on 3.11")
+    @pytest.mark.parametrize(
+        "wire, measured", [("json", 160.2), ("binary-1", 169.0)]
+    )
+    def test_one_split_and_pinned_opcodes_per_request(
+        self, monkeypatch, wire, measured
+    ):
+        codec, chunk = self._chunks()[wire]
+        db = Database()
+        db.create_many((i, float(i)) for i in range(1, 11))
+        conv = Conversation(create_engine(db, "esr"), None)
+        conv.codec = codec
+        splits = []
+        split = codec.split
+        monkeypatch.setattr(
+            codec, "split", lambda data: splits.append(len(data)) or split(data)
+        )
+        items: list = []
+        opcodes = _traced_opcodes(lambda: items.extend(conv.feed(chunk)))
+        assert len(items) == self.REQUESTS
+        assert all(type(item) is dict for item in items)
+        assert splits == [len(chunk)]
+        assert opcodes / self.REQUESTS <= measured * 1.10
 
 
 class TestServiceStationEvents:
