@@ -3,10 +3,6 @@
 These go beyond the paper's figures and quantify the knobs the
 implementation had to pick:
 
-* **export policy** — the paper charges a late write with the *maximum*
-  divergence over concurrent query readers; Wu et al. charge the *sum*.
-  The sum is more conservative, so it must abort at least as often and
-  never win on throughput.
 * **version window** — the paper stores the last 20 committed writes per
   object for proper-value lookup.  A window of 1 degrades the proper
   value towards the present value (divergences collapse to ~0, silently
@@ -20,7 +16,6 @@ from __future__ import annotations
 
 from conftest import BENCH_PLAN
 
-from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
 from repro.experiments.report import format_table
 from repro.sim.system import SimulationConfig, run_simulation
@@ -37,33 +32,6 @@ def _config(**overrides) -> SimulationConfig:
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
-
-
-def test_export_policy_max_vs_sum(benchmark):
-    """The paper's max rule admits at least as much as Wu et al.'s sum."""
-    results = {}
-    for policy in ("max", "sum"):
-        results[policy] = run_simulation(_config(export_policy=policy))
-    benchmark.pedantic(
-        run_simulation, args=(_config(export_policy="max"),), rounds=2
-    )
-    print()
-    print(
-        format_table(
-            ["policy", "throughput", "aborts", "inconsistent ops"],
-            [
-                (
-                    policy,
-                    f"{r.throughput:.2f}",
-                    r.aborts,
-                    r.inconsistent_operations,
-                )
-                for policy, r in results.items()
-            ],
-        )
-    )
-    assert results["sum"].aborts >= results["max"].aborts
-    assert results["sum"].throughput <= results["max"].throughput * 1.05
 
 
 def test_version_window_sensitivity(benchmark):

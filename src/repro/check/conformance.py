@@ -134,25 +134,17 @@ class _TxnReplay:
         export_limit = (
             event.export_limit if event.export_limit is not None else 0.0
         )
+        # Mirrors TransactionState: a query only imports, an update ET
+        # (consistent reads) only exports.
+        self.import_account: InconsistencyAccount | None = None
+        self.export_account: InconsistencyAccount | None = None
         if self.kind == "query":
-            self.import_account: InconsistencyAccount | None = (
-                InconsistencyAccount(
-                    Direction.IMPORT, catalog, import_limit, group_limits
-                )
+            self.import_account = InconsistencyAccount(
+                Direction.IMPORT, catalog, import_limit, group_limits
             )
-            self.export_account: InconsistencyAccount | None = None
         else:
             self.export_account = InconsistencyAccount(
                 Direction.EXPORT, catalog, export_limit, group_limits
-            )
-            # Mirrors TransactionState: an update ET only imports when it
-            # opted into inconsistent reads with a non-zero import limit.
-            self.import_account = (
-                InconsistencyAccount(
-                    Direction.IMPORT, catalog, import_limit, group_limits
-                )
-                if event.allow_inconsistent_reads and import_limit > 0
-                else None
             )
 
     @property

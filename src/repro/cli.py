@@ -283,12 +283,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.use_async:
         import asyncio
 
-        from repro.net.aioserver import AsyncTransactionServer, uvloop_available
-
-        use_uvloop = args.uvloop and uvloop_available()
-        if args.uvloop and not use_uvloop:
-            print("uvloop not installed; continuing on asyncio", file=sys.stderr)
-        loop_name = "uvloop" if use_uvloop else "asyncio"
+        from repro.net.aioserver import AsyncTransactionServer
 
         async def serve_async() -> None:
             server = AsyncTransactionServer(
@@ -304,7 +299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _report_process_mode(server.manager)
             print(
                 f"serving {len(database)} objects on "
-                f"{args.host}:{server.port} ({loop_name})"
+                f"{args.host}:{server.port} (asyncio)"
             )
             try:
                 await asyncio.Event().wait()  # until interrupted
@@ -313,15 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await server.aclose()
 
         try:
-            if use_uvloop:
-                import uvloop
-
-                with asyncio.Runner(
-                    loop_factory=uvloop.new_event_loop
-                ) as runner:
-                    runner.run(serve_async())
-            else:
-                asyncio.run(serve_async())
+            asyncio.run(serve_async())
         except KeyboardInterrupt:
             print("\nshutting down")
         return 0
@@ -642,12 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve bounded-staleness query reads from the epsilon "
         "snapshot cache, outside the engine critical section (ESR only)",
-    )
-    serve.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run the asyncio server on uvloop when installed (the "
-        "'speed' optional extra); silently falls back to asyncio",
     )
     serve.add_argument(
         "--record-history",

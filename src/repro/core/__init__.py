@@ -27,13 +27,7 @@ from repro.core.bounds import (
     TransactionBounds,
     level_by_name,
 )
-from repro.core.divergence import (
-    EXPORT_POLICIES,
-    export_divergence,
-    import_divergence,
-    max_export_divergence,
-    sum_export_divergence,
-)
+from repro.core.divergence import export_divergence, import_divergence
 from repro.core.hierarchy import ROOT_GROUP, ChargeOutcome, GroupCatalog, HierarchyLedger
 from repro.core.metric import (
     DistanceFunction,
@@ -61,11 +55,8 @@ __all__ = [
     "HIGH_EPSILON",
     "STANDARD_LEVELS",
     "level_by_name",
-    "EXPORT_POLICIES",
     "export_divergence",
     "import_divergence",
-    "max_export_divergence",
-    "sum_export_divergence",
     "ROOT_GROUP",
     "ChargeOutcome",
     "GroupCatalog",

@@ -18,11 +18,9 @@ Export side (section 5.2)
     An update write with new value ``N`` exports inconsistency to every
     concurrent query that already read the object.  For each such reader
     with stored proper value ``P_i``, the divergence is
-    ``distance(N, P_i)``; the paper charges the **maximum** over readers
-    (because each query reads an object at most once), whereas Wu et al.
-    charge the **sum**.  Both policies are provided; the paper's maximum is
-    the default, and the benchmark suite includes an ablation comparing
-    them.
+    ``distance(N, P_i)``; the paper charges the **maximum** over readers,
+    because each query reads an object at most once (Wu et al. charge the
+    sum, which over-counts under that assumption).
 """
 
 from __future__ import annotations
@@ -30,15 +28,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.metric import DistanceFunction, absolute_distance
-from repro.errors import SpecificationError
 
-__all__ = [
-    "import_divergence",
-    "max_export_divergence",
-    "sum_export_divergence",
-    "export_divergence",
-    "EXPORT_POLICIES",
-]
+__all__ = ["import_divergence", "export_divergence"]
 
 
 def import_divergence(
@@ -56,7 +47,7 @@ def import_divergence(
     return distance(present, proper)
 
 
-def max_export_divergence(
+def export_divergence(
     new_value: float,
     reader_proper_values: Iterable[float],
     distance: DistanceFunction = absolute_distance,
@@ -71,41 +62,3 @@ def max_export_divergence(
         (distance(new_value, proper) for proper in reader_proper_values),
         default=0.0,
     )
-
-
-def sum_export_divergence(
-    new_value: float,
-    reader_proper_values: Iterable[float],
-    distance: DistanceFunction = absolute_distance,
-) -> float:
-    """Wu et al.'s export rule: sum of divergences over concurrent readers.
-
-    More conservative than the maximum — it never under-counts when queries
-    may read an object repeatedly, at the price of over-estimating (and
-    therefore rejecting more) when they do not.
-    """
-    return sum(distance(new_value, proper) for proper in reader_proper_values)
-
-
-#: Named export policies, for configuration and the ablation benchmark.
-EXPORT_POLICIES = {
-    "max": max_export_divergence,
-    "sum": sum_export_divergence,
-}
-
-
-def export_divergence(
-    new_value: float,
-    reader_proper_values: Iterable[float],
-    distance: DistanceFunction = absolute_distance,
-    policy: str = "max",
-) -> float:
-    """Dispatch to a named export policy (``"max"`` or ``"sum"``)."""
-    try:
-        rule = EXPORT_POLICIES[policy]
-    except KeyError:
-        known = ", ".join(sorted(EXPORT_POLICIES))
-        raise SpecificationError(
-            f"unknown export policy {policy!r}; known policies: {known}"
-        ) from None
-    return rule(new_value, reader_proper_values, distance)

@@ -78,7 +78,6 @@ class Engine(Protocol):
         timestamp: Timestamp | None = None,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ) -> TransactionState: ...
 
     def read(self, txn: TransactionState, object_id: int) -> Outcome: ...
@@ -117,8 +116,6 @@ class ProtocolSpec:
     #: The snapshot read cache meters staleness through the ESR
     #: inconsistency ledger, which only the esr protocol carries.
     supports_snapshot_cache: bool
-    #: The wait/abort ablation knob exists on the TSO engines only.
-    supports_wait_policy: bool
     description: str
 
 
@@ -131,7 +128,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
             family="tso",
             relaxed=True,
             supports_snapshot_cache=True,
-            supports_wait_policy=True,
             description=(
                 "enhanced timestamp ordering with hierarchical "
                 "inconsistency bounds (the paper's protocol)"
@@ -143,7 +139,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
             family="tso",
             relaxed=False,
             supports_snapshot_cache=False,
-            supports_wait_policy=True,
             description="plain strict timestamp ordering (the SR baseline)",
         ),
         ProtocolSpec(
@@ -152,7 +147,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
             family="2pl",
             relaxed=True,
             supports_snapshot_cache=False,
-            supports_wait_policy=False,
             description="Wu et al. lock-based divergence control",
         ),
         ProtocolSpec(
@@ -161,7 +155,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
             family="2pl",
             relaxed=False,
             supports_snapshot_cache=False,
-            supports_wait_policy=False,
             description="plain strict two-phase locking",
         ),
         ProtocolSpec(
@@ -170,7 +163,6 @@ PROTOCOL_REGISTRY: dict[str, ProtocolSpec] = {
             family="mvto",
             relaxed=False,
             supports_snapshot_cache=False,
-            supports_wait_policy=False,
             description=(
                 "multi-version timestamp ordering (exact-but-stale reads)"
             ),
@@ -200,7 +192,6 @@ def validate_protocol_options(
     protocol: str,
     *,
     snapshot_cache: bool = False,
-    wait_policy: str = "wait",
     shards: int = 1,
     processes: bool = False,
 ) -> ProtocolSpec:
@@ -211,29 +202,6 @@ def validate_protocol_options(
     — the sim config wraps it into its usual ``ExperimentError``.
     """
     spec = protocol_spec(protocol)
-    if wait_policy not in ("wait", "abort"):
-        supporting = ", ".join(
-            repr(s.name)
-            for s in PROTOCOL_REGISTRY.values()
-            if s.supports_wait_policy
-        )
-        raise SpecificationError(
-            f"unknown wait policy {wait_policy!r}: valid values are "
-            f"'wait' (default, any protocol) and 'abort' (TSO protocols "
-            f"only: {supporting})"
-        )
-    if wait_policy != "wait" and not spec.supports_wait_policy:
-        supporting = ", ".join(
-            repr(s.name)
-            for s in PROTOCOL_REGISTRY.values()
-            if s.supports_wait_policy
-        )
-        raise SpecificationError(
-            f"wait_policy={wait_policy!r} is not supported by protocol "
-            f"{protocol!r}: valid combinations are wait_policy='wait' with "
-            f"any protocol, or wait_policy='abort' with a TSO protocol "
-            f"({supporting})"
-        )
     if snapshot_cache and not spec.supports_snapshot_cache:
         supporting = ", ".join(
             repr(s.name)
@@ -269,8 +237,6 @@ def create_engine(
     protocol: str = "esr",
     *,
     distance: DistanceFunction = absolute_distance,
-    export_policy: str = "max",
-    wait_policy: str = "wait",
     snapshot_cache: bool = False,
     metrics: MetricsCollector | None = None,
     timestamps: TimestampGenerator | None = None,
@@ -297,7 +263,6 @@ def create_engine(
     spec = validate_protocol_options(
         protocol,
         snapshot_cache=snapshot_cache,
-        wait_policy=wait_policy,
         shards=shards,
         processes=bool(processes),
     )
@@ -317,8 +282,6 @@ def create_engine(
             shards=shards,
             processes=bool(processes) and degraded is None,
             distance=distance,
-            export_policy=export_policy,
-            wait_policy=wait_policy,
             snapshot_cache=snapshot_cache,
             metrics=metrics,
             timestamps=timestamps,
@@ -330,8 +293,6 @@ def create_engine(
         database,
         spec,
         distance=distance,
-        export_policy=export_policy,
-        wait_policy=wait_policy,
         snapshot_cache=snapshot_cache,
         metrics=metrics,
         timestamps=timestamps,
@@ -344,8 +305,6 @@ def build_unsharded(
     spec: ProtocolSpec,
     *,
     distance: DistanceFunction = absolute_distance,
-    export_policy: str = "max",
-    wait_policy: str = "wait",
     snapshot_cache: bool = False,
     metrics: MetricsCollector | None = None,
     timestamps: TimestampGenerator | None = None,
@@ -363,7 +322,6 @@ def build_unsharded(
             database,
             relaxed=spec.relaxed,
             distance=distance,
-            export_policy=export_policy,
             metrics=metrics,
             timestamps=timestamps,
             recorder=recorder,
@@ -381,10 +339,8 @@ def build_unsharded(
         database,
         protocol=spec.name,
         distance=distance,
-        export_policy=export_policy,
         metrics=metrics,
         timestamps=timestamps,
-        wait_policy=wait_policy,
         snapshot_cache=snapshot_cache,
         recorder=recorder,
         record_history=record_history,

@@ -18,13 +18,11 @@ a timestamp older than the object's read timestamp, where that read came
 from a query ET.  SR rejects it; ESR lets the write proceed, charging the
 update's export account with the divergence this write exports to the
 still-uncommitted query readers of the object (maximum over readers under
-the paper's policy).
+the paper's rule).
 
-Update-transaction *reads* are consistent by default — their writes
-depend on their reads — and follow the plain SR decision; as an opt-in
-extension, an update ET that declares a non-zero import limit reads
-through conflicts like a query (see :mod:`repro.engine.transactions`).
-Write-write conflicts are never relaxed.
+Update-transaction *reads* are consistent — their writes depend on their
+reads — and follow the plain SR decision.  Write-write conflicts are never
+relaxed.
 
 Admission charges the transaction's inconsistency account (object level,
 then every group on the object's path, then the transaction level) as a
@@ -61,12 +59,9 @@ def esr_read_decision(
 ) -> Outcome:
     """Decide a read under ESR-enhanced TSO.
 
-    Query ETs import against their TIL.  Update ETs are consistent by
-    default (the paper's setting — their writes depend on their reads)
-    and fall through to the plain SR decision; an update ET that declared
-    a non-zero import limit carries an import account and reads through
-    conflicts the same way a query does (the paper's section 1 notes this
-    possibility without evaluating it).
+    Query ETs import against their TIL.  Update ETs are consistent (their
+    writes depend on their reads) and fall through to the plain SR
+    decision.
     """
     account = txn.import_account
     if account is None:
@@ -138,7 +133,6 @@ def esr_write_decision(
     txn: TransactionState,
     new_value: float,
     distance: DistanceFunction = absolute_distance,
-    export_policy: str = "max",
 ) -> Outcome:
     """Decide a write under ESR-enhanced TSO (update ETs only).
 
@@ -178,9 +172,7 @@ def esr_write_decision(
         # Case 3: the write would export inconsistency to the concurrent
         # (still uncommitted) query readers of this object.
         oel = txn.effective_object_limit(obj.object_id, obj.bounds.export_limit)
-        d = export_divergence(
-            new_value, obj.query_readers.values(), distance, export_policy
-        )
+        d = export_divergence(new_value, obj.query_readers.values(), distance)
         charge = txn.account.admit(obj.object_id, d, oel)
         if charge.admitted:
             case = CASE_LATE_WRITE if d > 0 else None

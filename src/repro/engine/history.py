@@ -121,7 +121,6 @@ class HistoryEvent:
     export_limit: float | None = None
     group_limits: dict[str, float] | None = None
     object_limits: dict[int, float] | None = None
-    allow_inconsistent_reads: bool = False
     #: Commit events: total divergence imported/exported by the txn.
     imported: float | None = None
     exported: float | None = None
@@ -160,8 +159,6 @@ class HistoryEvent:
             out["inconsistency"] = self.inconsistency
         if self.cached:
             out["cached"] = True
-        if self.allow_inconsistent_reads:
-            out["allow_inconsistent_reads"] = True
         return out
 
     @classmethod
@@ -193,9 +190,6 @@ class HistoryEvent:
                 if object_limits
                 else None
             ),
-            allow_inconsistent_reads=bool(
-                data.get("allow_inconsistent_reads", False)
-            ),
             imported=data.get("imported"),
             exported=data.get("exported"),
         )
@@ -207,8 +201,7 @@ class HistoryEvent:
 # else: ``(kind, txn, wall, ts, shard)`` followed by the fields that kind
 # carries, in the order below.  :func:`_materialise` is the only reader.
 #
-#   begin   kind*, import_limit, export_limit, group_limits, object_limits,
-#           allow_inconsistent_reads
+#   begin   kind*, import_limit, export_limit, group_limits, object_limits
 #   read    object_id, value [, esr_case, inconsistency [, cached]]
 #   write   object_id, value [, esr_case, inconsistency]
 #   wait    object_id, op, blocking
@@ -224,7 +217,7 @@ class HistoryEvent:
 # already holds, so a row allocates the tuple and its ``wall`` float —
 # plus, on a begin that declares them, its own copy of the group and
 # object limits.  A tuple of atoms leaves cyclic-GC tracking at its
-# first collection, which an event object with 23 slots never does.
+# first collection, which an event object with 22 slots never does.
 
 
 def _materialise(row: tuple) -> HistoryEvent:
@@ -240,7 +233,7 @@ def _materialise(row: tuple) -> HistoryEvent:
     if kind == EVENT_BEGIN:
         (
             _, txn, wall, ts, shard, txn_kind, import_limit, export_limit,
-            group_limits, object_limits, allow_inconsistent_reads,
+            group_limits, object_limits,
         ) = row
         return HistoryEvent(
             kind, txn, wall, ts, txn_kind.value, shard,
@@ -248,7 +241,6 @@ def _materialise(row: tuple) -> HistoryEvent:
             export_limit=export_limit,
             group_limits=group_limits,
             object_limits=object_limits,
-            allow_inconsistent_reads=allow_inconsistent_reads,
         )
     if kind == EVENT_COMMIT:
         _, txn, wall, ts, shard, txn_kind, imported, exported = row
@@ -353,8 +345,6 @@ class HistoryRecorder:
                 bounds.export_limit,
                 txn.account.declared_group_limits(),
                 dict(txn.object_limits) if txn.object_limits else None,
-                txn.import_account is not None
-                and txn.import_account is not txn.account,
             )
         )
 

@@ -31,7 +31,7 @@ from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.history import HistoryRecorder
 from repro.engine.metrics import MetricsCollector
-from repro.engine.reasons import REASON_CLIENT_ABORT, REASON_CONFLICT_ABORT
+from repro.engine.reasons import REASON_CLIENT_ABORT
 from repro.engine.results import Granted, MustWait, Outcome, Rejected
 from repro.engine.scheduler import WaitRegistry
 from repro.engine.snapshot import SnapshotStore, snapshot_read
@@ -57,10 +57,8 @@ class TransactionManager:
         database: Database,
         protocol: str = "esr",
         distance: DistanceFunction = absolute_distance,
-        export_policy: str = "max",
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
-        wait_policy: str = "wait",
         snapshot_cache: bool = False,
         recorder: HistoryRecorder | None = None,
         record_history: bool = False,
@@ -69,21 +67,13 @@ class TransactionManager:
             raise SpecificationError(
                 f"unknown protocol {protocol!r}; choose from {PROTOCOLS}"
             )
-        if wait_policy not in ("wait", "abort"):
-            raise SpecificationError(
-                f"unknown wait policy {wait_policy!r}; choose 'wait' or 'abort'"
-            )
         self.database = database
         self.protocol = protocol
         #: The paper enforces strict ordering "by using a wait based
         #: protocol for concurrent operations that are not able to
-        #: execute" (section 4) and notes it pays "some price in the form
-        #: of some delay".  ``"abort"`` is the alternative it implicitly
-        #: rejects — treat every such conflict like a late operation
-        #: (abort with immediate restart) — kept here as an ablation.
-        self.wait_policy = wait_policy
+        #: execute" (section 4): a conflict answers ``MustWait`` and the
+        #: host parks the operation until the blocker completes.
         self.distance = distance
-        self.export_policy = export_policy
         #: The unified history seam: every decision is reported here and
         #: the metrics totals are *derived* from those reports (see
         #: :mod:`repro.engine.history`).  A sharded composite hands each
@@ -119,15 +109,8 @@ class TransactionManager:
         timestamp: Timestamp | None = None,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
-        """Start a transaction; assigns its id and (if needed) timestamp.
-
-        ``allow_inconsistent_reads`` opts an *update* ET into importing
-        inconsistency against its import limit (an extension beyond the
-        paper, whose update ETs are always consistent); it has no effect
-        on queries, which always import.
-        """
+        """Start a transaction; assigns its id and (if needed) timestamp."""
         if isinstance(kind, str):
             kind = TransactionKind(kind.lower())
         if bounds is None:
@@ -144,7 +127,6 @@ class TransactionManager:
             catalog=self.database.catalog,
             group_limits=group_limits,
             object_limits=object_limits,
-            allow_inconsistent_reads=allow_inconsistent_reads,
         )
         self._next_id += 1
         self._active[txn.transaction_id] = txn
@@ -174,20 +156,16 @@ class TransactionManager:
             outcome = esr_read_decision(obj, txn, self.distance)
         else:
             outcome = sr_read_decision(obj, txn)
-        outcome = self._apply_wait_policy(outcome)
         if isinstance(outcome, Granted):
-            proper = (
-                obj.proper_value_for(txn.timestamp) if txn.is_query else 0.0
-            )
-            obj.record_read(
-                txn.transaction_id, txn.timestamp, txn.is_query, proper
-            )
+            is_query = txn.is_query
+            proper = obj.proper_value_for(txn.timestamp) if is_query else 0.0
+            obj.record_read(txn.transaction_id, txn.timestamp, is_query, proper)
             txn.read_set.add(object_id)
             txn.operations += 1
             if outcome.esr_case is not None:
                 txn.inconsistent_operations += 1
-            if txn.import_account is not None and outcome.value is not None:
-                txn.import_account.observe_value(object_id, outcome.value)
+            if is_query and outcome.value is not None:
+                txn.account.observe_value(object_id, outcome.value)
             self.recorder.read(txn, object_id, outcome)
         elif isinstance(outcome, MustWait):
             self.recorder.wait(
@@ -229,12 +207,9 @@ class TransactionManager:
             )
         obj = self.database.get(object_id)
         if self.protocol == "esr":
-            outcome = esr_write_decision(
-                obj, txn, value, self.distance, self.export_policy
-            )
+            outcome = esr_write_decision(obj, txn, value, self.distance)
         else:
             outcome = sr_write_decision(obj, txn)
-        outcome = self._apply_wait_policy(outcome)
         if isinstance(outcome, Granted):
             obj.stage_write(txn.transaction_id, txn.timestamp, value)
             if self.snapshot is not None:
@@ -250,19 +225,6 @@ class TransactionManager:
             )
         else:
             self._reject(txn, "write", object_id, outcome)
-        return outcome
-
-    def _apply_wait_policy(self, outcome: Outcome) -> Outcome:
-        """Under the ``"abort"`` policy, conflicts abort instead of waiting."""
-        if self.wait_policy == "abort" and isinstance(outcome, MustWait):
-            return Rejected(
-                REASON_CONFLICT_ABORT,
-                detail=(
-                    "conflicting operation aborted instead of waiting "
-                    f"for transaction {outcome.blocking_transaction} "
-                    "(wait_policy='abort')"
-                ),
-            )
         return outcome
 
     def _reject(

@@ -168,7 +168,6 @@ class MVTOManager:
         timestamp: Timestamp | None = None,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
         if isinstance(kind, str):
             kind = TransactionKind(kind.lower())

@@ -276,12 +276,12 @@ def _read_pickled(payload: bytes, offset: int) -> tuple[object, int]:
 #
 #   ("op", txn_id, opcode, object_id, value, descriptor|None, sync_in)
 #       sync_in: ("none", version)
-#              | ("delta", from_version, to_version, (acct_delta, imp_delta))
-#              | ("full", version, (acct_dump, imp_dump))
+#              | ("delta", from_version, to_version, account_delta)
+#              | ("full", version, account_dump)
 #   ("complete", txn_id, status_value, reason|None)
 #
 # Replies:
-#   ("ok", outcome, sync_out|None)   sync_out: (acct_delta, imp_delta)
+#   ("ok", outcome, account_delta|None)
 #   ("committed", {object_id: (value, write_ts)})
 #   ("err", exception)
 #   ("resync", worker_version|None)
@@ -342,13 +342,13 @@ def _decode_batch(payload: bytes) -> list[tuple]:
             elif tag == "delta":
                 from_version, to_version = _2U32.unpack_from(payload, offset)
                 offset += _2U32.size
-                deltas, offset = _read_pickled(payload, offset)
-                sync_in = ("delta", from_version, to_version, deltas)
+                delta, offset = _read_pickled(payload, offset)
+                sync_in = ("delta", from_version, to_version, delta)
             else:
                 (version,) = _U32.unpack_from(payload, offset)
                 offset += _U32.size
-                dumps, offset = _read_pickled(payload, offset)
-                sync_in = ("full", version, dumps)
+                dump, offset = _read_pickled(payload, offset)
+                sync_in = ("full", version, dump)
             items.append(
                 ("op", txn_id, opcode, object_id, value, descriptor, sync_in)
             )
@@ -510,27 +510,13 @@ def _build_sibling(
         catalog=engine.database.catalog,
         group_limits=descriptor["group_limits"],
         object_limits=descriptor["object_limits"],
-        allow_inconsistent_reads=descriptor["allow_inconsistent_reads"],
     )
     engine.adopt(sibling)
     # Track changes incrementally so each op's reply delta costs
     # O(changed entries) — no per-op state dumps in the worker.
     sibling.account.track_changes()
-    if (
-        sibling.import_account is not None
-        and sibling.import_account is not sibling.account
-    ):
-        sibling.import_account.track_changes()
     siblings[sibling.transaction_id] = sibling
     return sibling
-
-
-def _has_import(txn: TransactionState) -> bool:
-    """Whether ``txn`` carries an import account separate from its own."""
-    return (
-        txn.import_account is not None
-        and txn.import_account is not txn.account
-    )
 
 
 def _handle_op_item(
@@ -548,7 +534,6 @@ def _handle_op_item(
             # of this shard was dropped); ask for a full re-send.
             return ("resync", versions.get(txn_id))
         sibling = _build_sibling(engine, descriptor, siblings)
-    has_import = _has_import(sibling)
     tag = sync_in[0]
     held = versions.get(txn_id)
     if tag == "none":
@@ -557,18 +542,11 @@ def _handle_op_item(
     elif tag == "delta":
         if held != sync_in[1]:
             return ("resync", held)
-        account_delta, import_delta = sync_in[3]
-        if account_delta is not None:
-            sibling.account.apply_delta(account_delta)
-        if import_delta is not None and has_import:
-            sibling.import_account.apply_delta(import_delta)
+        sibling.account.apply_delta(sync_in[3])
         held = sync_in[2]
         versions[txn_id] = held
     else:  # full
-        account_state, import_state = sync_in[2]
-        sibling.account.load_state(account_state)
-        if import_state is not None and has_import:
-            sibling.import_account.load_state(import_state)
+        sibling.account.load_state(sync_in[2])
         held = sync_in[1]
         versions[txn_id] = held
     if opcode == _OP_READ:
@@ -578,18 +556,12 @@ def _handle_op_item(
     if not sibling.is_active:
         # A rejection auto-aborted (and finished) the sibling.
         siblings.pop(txn_id, None)
-    account_delta = sibling.account.take_delta()
-    import_delta = sibling.import_account.take_delta() if has_import else None
-    if account_delta is None and import_delta is None:
-        sync_out = None
-    else:
-        sync_out = (account_delta, import_delta)
+    sync_out = sibling.account.take_delta()
+    if sync_out is not None:
         versions[txn_id] = held + 1
     if txn_id not in siblings:
         versions.pop(txn_id, None)
     return ("ok", outcome, sync_out)
-
-
 
 
 def _handle_complete(
@@ -657,8 +629,6 @@ def _worker_main(
     shard_db: Database,
     protocol: str,
     distance: DistanceFunction,
-    export_policy: str,
-    wait_policy: str,
 ) -> None:
     """One shard worker: an ordinary engine behind a frame loop."""
     # Forked children inherit every socketpair created before their fork;
@@ -669,13 +639,7 @@ def _worker_main(
             other.close()
         except OSError:
             pass
-    engine = build_unsharded(
-        shard_db,
-        protocol_spec(protocol),
-        distance=distance,
-        export_policy=export_policy,
-        wait_policy=wait_policy,
-    )
+    engine = build_unsharded(shard_db, protocol_spec(protocol), distance=distance)
     engine.waits = _MirrorWaitRegistry()
     siblings: dict[int, TransactionState] = {}
     versions: dict[int, int] = {}
@@ -968,28 +932,21 @@ class _TxnSync:
             "bounds": txn.bounds,
             "group_limits": txn.account.declared_group_limits(),
             "object_limits": dict(txn.object_limits) or None,
-            "allow_inconsistent_reads": txn.is_update and _has_import(txn),
         }
         self.version = 0
         self.shard_versions: dict[int, int] = {}
-        #: shard -> [account_acc, import_acc] (each None or a 4-list).
+        #: shard -> the merged account delta it has missed (a 4-list).
         self.pending: dict[int, list] = {}
 
-    def fall_behind(self, current: int | None, account_delta, import_delta):
-        """The canonical state moved by these deltas: every touched shard
-        but ``current`` is now one revision behind.  Fold the deltas into
+    def fall_behind(self, current: int | None, account_delta):
+        """The canonical state moved by this delta: every touched shard
+        but ``current`` is now one revision behind.  Fold the delta into
         each one's pending accumulator so its next op ships exactly the
         missed changes — O(changed entries), never a dump."""
+        pending = self.pending
         for shard in self.shard_versions:
-            if shard == current:
-                continue
-            entry = self.pending.get(shard)
-            if entry is None:
-                entry = self.pending[shard] = [None, None]
-            if account_delta is not None:
-                entry[0] = _merge_delta(entry[0], account_delta)
-            if import_delta is not None:
-                entry[1] = _merge_delta(entry[1], import_delta)
+            if shard != current:
+                pending[shard] = _merge_delta(pending.get(shard), account_delta)
 
 
 class WorkerShard:
@@ -1031,27 +988,19 @@ class WorkerShard:
     ) -> Outcome:
         self.database.get(object_id)  # unknown-object parity before any RPC
         sync = self.sync.get(txn)
-        has_import = _has_import(txn)
         if sync is None:
             sync = self.sync[txn] = _TxnSync(txn)
             txn.account.track_changes()
-            if has_import:
-                txn.import_account.track_changes()
         else:
-            # Charges made directly on the canonical accounts since the
+            # Charges made directly on the canonical account since the
             # last worker op (by an in-process, failed-over shard).
             account_delta = txn.account.take_delta()
-            import_delta = (
-                txn.import_account.take_delta() if has_import else None
-            )
-            if account_delta is not None or import_delta is not None:
+            if account_delta is not None:
                 sync.version += 1
-                sync.fall_behind(None, account_delta, import_delta)
+                sync.fall_behind(None, account_delta)
         opcode = _OP_READ if op == "read" else _OP_WRITE
         value = float(value)
-        item = self._build_op_item(
-            txn, sync, opcode, object_id, value, has_import
-        )
+        item = self._build_op_item(txn, sync, opcode, object_id, value)
         reply = self._request(item)
         if reply[0] == "resync":
             # Version skew (the worker holds a different revision than
@@ -1060,9 +1009,7 @@ class WorkerShard:
             _perf.rpc_resyncs += 1
             sync.shard_versions.pop(self.index, None)
             sync.pending.pop(self.index, None)
-            item = self._build_op_item(
-                txn, sync, opcode, object_id, value, has_import
-            )
+            item = self._build_op_item(txn, sync, opcode, object_id, value)
             reply = self._request(item)
             if reply[0] == "resync":
                 raise ShardChannelError(
@@ -1071,7 +1018,7 @@ class WorkerShard:
         if reply[0] == "err":
             raise reply[1]
         outcome = reply[1]
-        self._apply_sync_out(txn, sync, reply[2], has_import)
+        self._apply_sync_out(txn, sync, reply[2])
         self._record(txn, op, object_id, value, outcome)
         return outcome
 
@@ -1082,38 +1029,21 @@ class WorkerShard:
         opcode: int,
         object_id: int,
         value: float,
-        has_import: bool,
     ) -> tuple:
         descriptor = None
         held = sync.shard_versions.get(self.index)
-        entry = sync.pending.get(self.index)
+        missed = sync.pending.get(self.index)
         if held == sync.version:
             sync_in: tuple = ("none", sync.version)
             _perf.rpc_sync_none += 1
-        elif held is not None and entry is not None:
-            account_acc, import_acc = entry
-            sync_in = (
-                "delta",
-                held,
-                sync.version,
-                (
-                    tuple(account_acc) if account_acc else None,
-                    tuple(import_acc) if import_acc else None,
-                ),
-            )
+        elif held is not None and missed is not None:
+            sync_in = ("delta", held, sync.version, tuple(missed))
             _perf.rpc_sync_delta += 1
         else:
             if held is None:
                 # First touch: ship the sibling descriptor as well.
                 descriptor = sync.descriptor
-            sync_in = (
-                "full",
-                sync.version,
-                (
-                    txn.account.dump_state(),
-                    txn.import_account.dump_state() if has_import else None,
-                ),
-            )
+            sync_in = ("full", sync.version, txn.account.dump_state())
             _perf.rpc_sync_full += 1
         return (
             "op",
@@ -1129,17 +1059,12 @@ class WorkerShard:
         self,
         txn: TransactionState,
         sync: _TxnSync,
-        sync_out: tuple | None,
-        has_import: bool,
+        account_delta: tuple | None,
     ) -> None:
-        if sync_out is not None:
-            account_delta, import_delta = sync_out
-            if account_delta is not None:
-                txn.account.apply_delta(account_delta)
-            if import_delta is not None and has_import:
-                txn.import_account.apply_delta(import_delta)
+        if account_delta is not None:
+            txn.account.apply_delta(account_delta)
             sync.version += 1
-            sync.fall_behind(self.index, account_delta, import_delta)
+            sync.fall_behind(self.index, account_delta)
         # Charged or not, the worker now holds the current revision.
         sync.shard_versions[self.index] = sync.version
         sync.pending.pop(self.index, None)
@@ -1221,8 +1146,6 @@ def fork_shards(
     recorder: HistoryRecorder,
     *,
     distance: DistanceFunction,
-    export_policy: str,
-    wait_policy: str,
 ) -> list[WorkerShard]:
     """Fork one daemon worker per shard database; return their backends."""
     context = multiprocessing.get_context("fork")
@@ -1239,15 +1162,7 @@ def fork_shards(
         ]
         process = context.Process(
             target=_worker_main,
-            args=(
-                child_sock,
-                inherited,
-                database,
-                protocol,
-                distance,
-                export_policy,
-                wait_policy,
-            ),
+            args=(child_sock, inherited, database, protocol, distance),
             name=f"repro-shard-{index}",
             daemon=True,
         )

@@ -31,7 +31,6 @@ __all__ = [
     "REASON_BOUND_VIOLATION",
     "REASON_WRITE_CONFLICT",
     "REASON_DEADLOCK",
-    "REASON_CONFLICT_ABORT",
     "REASON_CLIENT_ABORT",
     "REASON_CLIENT_DISCONNECTED",
     "REASON_WAIT_TIMEOUT",
@@ -67,8 +66,6 @@ REASON_BOUND_VIOLATION = "bound-violation"
 REASON_WRITE_CONFLICT = "write-write-conflict"
 #: The 2PL deadlock detector broke a cycle by aborting this transaction.
 REASON_DEADLOCK = "deadlock"
-#: Under ``wait_policy="abort"``, a conflict aborts instead of waiting.
-REASON_CONFLICT_ABORT = "conflict-abort"
 
 # -- host/runtime aborts ----------------------------------------------------
 
@@ -101,7 +98,6 @@ REJECTION_REASONS = frozenset(
         REASON_BOUND_VIOLATION,
         REASON_WRITE_CONFLICT,
         REASON_DEADLOCK,
-        REASON_CONFLICT_ABORT,
     }
 )
 
@@ -113,7 +109,6 @@ ALL_REASONS = frozenset(
         REASON_BOUND_VIOLATION,
         REASON_WRITE_CONFLICT,
         REASON_DEADLOCK,
-        REASON_CONFLICT_ABORT,
         REASON_CLIENT_ABORT,
         REASON_CLIENT_DISCONNECTED,
         REASON_WAIT_TIMEOUT,

@@ -27,7 +27,8 @@ There are two backends.  :class:`_LocalShard` (here) is a lock, an
 ordinary inner engine built by :func:`~repro.engine.api.build_unsharded`
 over the shard's view, and lazily built *sibling* transactions — same
 id, timestamp and kind as the global one, whose ``account`` /
-``import_account`` / ``object_limits`` **are** the global transaction's.
+``import_account`` / ``object_limits`` **are** the global transaction's
+(a query's ``import_account`` is its ``account``; an update has none).
 :class:`~repro.engine.procshard.WorkerShard` runs the same inner engine
 in a forked worker process behind a socketpair and keeps the worker's
 copy of the accounts delta-synced with the parent's (see
@@ -371,8 +372,6 @@ class ShardedEngine:
         shards: int,
         processes: bool = False,
         distance: DistanceFunction = absolute_distance,
-        export_policy: str = "max",
-        wait_policy: str = "wait",
         snapshot_cache: bool = False,
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
@@ -382,15 +381,12 @@ class ShardedEngine:
         self._spec = validate_protocol_options(
             protocol,
             snapshot_cache=snapshot_cache,
-            wait_policy=wait_policy,
             shards=shards,
             processes=processes,
         )
         self.database = database
         self.protocol = protocol
         self.shards = shards
-        self.wait_policy = wait_policy
-        self.export_policy = export_policy
         self.distance = distance
         #: Why ``processes=True`` was not honoured (set by
         #: :func:`~repro.engine.api.create_engine`), else None.
@@ -445,8 +441,6 @@ class ShardedEngine:
                 protocol,
                 self.recorder,
                 distance=distance,
-                export_policy=export_policy,
-                wait_policy=wait_policy,
             )
             self._finalizer = weakref.finalize(
                 self, _close_shards, list(self._shards)
@@ -465,8 +459,6 @@ class ShardedEngine:
             self._databases[index],
             self._spec,
             distance=self.distance,
-            export_policy=self.export_policy,
-            wait_policy=self.wait_policy,
             snapshot_cache=self._snapshot_cache,
             recorder=self.recorder.for_shard(index),
             timestamps=self._timestamps,
@@ -508,7 +500,6 @@ class ShardedEngine:
         timestamp: Timestamp | None = None,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
         if isinstance(kind, str):
             kind = TransactionKind(kind.lower())
@@ -527,18 +518,11 @@ class ShardedEngine:
                 catalog=self.database.catalog,
                 group_limits=group_limits,
                 object_limits=object_limits,
-                allow_inconsistent_reads=allow_inconsistent_reads,
             )
             self._next_id += 1
             # TIL/TEL and group totals span shards: make the ledger's
             # check-and-charge atomic across concurrent shard threads.
-            account_lock = threading.RLock()
-            txn.account.install_lock(account_lock)
-            if (
-                txn.import_account is not None
-                and txn.import_account is not txn.account
-            ):
-                txn.import_account.install_lock(account_lock)
+            txn.account.install_lock(threading.RLock())
             self._active[txn.transaction_id] = txn
             self._touched[txn.transaction_id] = set()
         self.recorder.begin(txn)

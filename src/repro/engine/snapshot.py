@@ -279,8 +279,10 @@ def snapshot_read(
     Every outcome that is not a hit is a *downgrade*, never a rejection —
     the engine path stays the authority on aborts and waits.
     """
+    # Only a query carries an import account, and a query stages no
+    # writes: an update (own staged writes included) takes the engine.
     account = txn.import_account
-    if account is None or not txn.is_active or object_id in txn.write_set:
+    if account is None or not txn.is_active:
         store.fallbacks += 1
         _perf.cache_fallbacks += 1
         return None

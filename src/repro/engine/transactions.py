@@ -50,7 +50,6 @@ class TransactionState:
         catalog: GroupCatalog,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ):
         self.transaction_id = transaction_id
         self.kind = kind
@@ -70,21 +69,10 @@ class TransactionState:
             self.account = InconsistencyAccount(
                 Direction.EXPORT, catalog, bounds.export_limit, group_limits
             )
-            # The paper restricts itself to *consistent* update ETs (their
-            # writes depend on their reads).  As an opt-in extension — the
-            # paper notes "update ETs can view inconsistent data the same
-            # way query ETs do" — an update ET begun with
-            # ``allow_inconsistent_reads`` and a non-zero import limit also
-            # carries an import account and may read through conflicts
-            # like a query.  The inconsistency it imports can propagate
-            # into the values it writes; that is what the limit authorises.
-            self.import_account = (
-                InconsistencyAccount(
-                    Direction.IMPORT, catalog, bounds.import_limit, group_limits
-                )
-                if allow_inconsistent_reads and bounds.import_limit > 0
-                else None
-            )
+            # Update ETs read consistently (their writes depend on their
+            # reads), so they carry no import account: an import limit
+            # they declare is never spent.
+            self.import_account = None
         #: Objects this transaction has read (object ids).
         self.read_set: set[int] = set()
         #: Objects this transaction has staged writes on (object ids).

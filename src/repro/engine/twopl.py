@@ -20,7 +20,7 @@ Lock semantics:
   case 2;
 * **export relaxation** — an update whose X request hits query S locks
   may write *past* them, charging ``distance(new value, what the
-  readers saw)`` (max over readers, the paper's policy) against its
+  readers saw)`` (max over readers, the paper's rule) against its
   OEL/group/TEL.  The twin of case 3;
 * update reads, and write-write conflicts, are never relaxed (the
   paper's consistent-update-ET setting);
@@ -73,7 +73,6 @@ class TwoPhaseManager:
         database: Database,
         relaxed: bool = True,
         distance: DistanceFunction = absolute_distance,
-        export_policy: str = "max",
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
         recorder: HistoryRecorder | None = None,
@@ -88,7 +87,6 @@ class TwoPhaseManager:
         #: No snapshot read cache on the lock-based engines.
         self.snapshot = None
         self.distance = distance
-        self.export_policy = export_policy
         if recorder is not None:
             self.recorder = recorder
         else:
@@ -111,7 +109,6 @@ class TwoPhaseManager:
         timestamp: Timestamp | None = None,
         group_limits: Mapping[str, float] | None = None,
         object_limits: Mapping[int, float] | None = None,
-        allow_inconsistent_reads: bool = False,
     ) -> TransactionState:
         """Start a transaction (interface-compatible with the TSO manager)."""
         if isinstance(kind, str):
@@ -130,7 +127,6 @@ class TwoPhaseManager:
             catalog=self.database.catalog,
             group_limits=group_limits,
             object_limits=object_limits,
-            allow_inconsistent_reads=allow_inconsistent_reads,
         )
         self._next_id += 1
         self._active[txn.transaction_id] = txn
@@ -235,9 +231,7 @@ class TwoPhaseManager:
                 seen_values = list(obj.query_readers.values()) or [
                     obj.committed_value
                 ]
-                d = export_divergence(
-                    value, seen_values, self.distance, self.export_policy
-                )
+                d = export_divergence(value, seen_values, self.distance)
                 oel = txn.effective_object_limit(
                     object_id, obj.bounds.export_limit
                 )
@@ -270,8 +264,8 @@ class TwoPhaseManager:
         txn.operations += 1
         if outcome.esr_case is not None:
             txn.inconsistent_operations += 1
-        if txn.import_account is not None and outcome.value is not None:
-            txn.import_account.observe_value(obj.object_id, outcome.value)
+        if txn.is_query and outcome.value is not None:
+            txn.account.observe_value(obj.object_id, outcome.value)
         self.recorder.read(txn, obj.object_id, outcome)
         return outcome
 

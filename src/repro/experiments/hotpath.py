@@ -269,11 +269,7 @@ def _drive_rpc_transaction(engine, rng: random.Random, objects, ops) -> int:
     """One client transaction; returns the number of granted operations."""
     update = rng.random() < 0.5
     if update:
-        txn = engine.begin(
-            "update",
-            TransactionBounds(export_limit=1e9),
-            allow_inconsistent_reads=True,
-        )
+        txn = engine.begin("update", TransactionBounds(export_limit=1e9))
     else:
         txn = engine.begin("query", TransactionBounds(import_limit=1e9))
     granted = 0

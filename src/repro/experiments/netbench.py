@@ -24,9 +24,10 @@ from:
 * ``read-heavy-nocache`` / ``read-heavy-cached`` — the asyncio server
   under a read-heavy workload (48 reads per query, one writer session
   in 16), with the epsilon snapshot read cache off and on.  The pair's
-  ratio (``speedup_cached_reads``) is what serving bounded-staleness
-  reads inline in ``data_received`` — outside the engine critical
-  section and the dispatch queue — buys.
+  ratio (``speedup_cached_reads``) is what answering bounded-staleness
+  reads inline in the connection's
+  :class:`~repro.net.requests.Conversation` — outside the engine
+  critical section and the dispatch queue — buys.
 * ``write-heavy-1shard`` / ``write-heavy-4shard`` — the threaded server
   driven pipelined under a write-heavy multi-object mix (4 reads per
   query, every second session a writer on disjoint stripes), with the

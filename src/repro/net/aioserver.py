@@ -42,7 +42,7 @@ the transport drains.
 (:class:`~repro.engine.sharded.ShardedEngine`) the loop is no longer the
 critical section — the engine takes its own per-shard locks.  The
 dispatcher then stops running engine calls inline: each request is handed
-to one of ``shards`` single-thread executor *lanes*.  A connection is
+to one of ``manager.shards`` single-thread executor *lanes*.  A connection is
 pinned to one lane (round-robin), so a pipelined client's responses keep
 request order — the same wire contract as the threaded server — while
 different connections execute engine calls concurrently across lanes.
@@ -51,11 +51,6 @@ remains the only thread that touches transports and buffers.  Wait
 events are loop-affine but may be fired from executor threads, so the
 sharded mode wraps them in :class:`_LoopEvent` (``set`` via
 ``call_soon_threadsafe``).
-
-**uvloop (optional).**  :class:`AsyncServerThread` runs its loop under
-uvloop when the optional extra is importable (``pip install
-repro[speed]``), falling back to stock asyncio silently otherwise;
-``loop_implementation`` reports which one actually ran.
 
 Observability: ``repro.perf.counters`` tallies requests batched, batches
 drained, coalesced flushes, backpressure stalls, and ``net_codec_*``
@@ -87,25 +82,10 @@ from repro.net.requests import (
 )
 from repro.net.server import WAIT_TIMEOUT_SECONDS
 
-try:  # optional accelerator: a drop-in libuv event loop
-    import uvloop as _uvloop
-except ImportError:  # pragma: no cover - environment-dependent
-    _uvloop = None
-
-__all__ = [
-    "AsyncTransactionServer",
-    "AsyncServerThread",
-    "serve_in_thread",
-    "uvloop_available",
-]
+__all__ = ["AsyncTransactionServer", "AsyncServerThread", "serve_in_thread"]
 
 #: Per-connection cap on requests accepted but not yet answered.
 DEFAULT_MAX_INFLIGHT = 128
-
-
-def uvloop_available() -> bool:
-    """Whether the optional ``uvloop`` extra is importable here."""
-    return _uvloop is not None
 
 
 class _LoopEvent:
@@ -286,33 +266,21 @@ class AsyncTransactionServer:
         await server.aclose()
 
     From synchronous code use :func:`serve_in_thread`, which runs the
-    whole server on a dedicated loop thread.
+    whole server on a dedicated loop thread.  Every keyword beyond the
+    server's own is an engine option for
+    :func:`~repro.engine.api.create_engine`.
     """
 
     def __init__(
         self,
         database: Database,
-        protocol: str = "esr",
-        export_policy: str = "max",
+        *,
         wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-        wait_policy: str = "wait",
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        snapshot_cache: bool = False,
-        shards: int = 1,
-        processes: bool | str = False,
         codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-        record_history: bool = False,
+        **engine_options: Any,
     ):
-        self.manager: Engine = create_engine(
-            database,
-            protocol,
-            export_policy=export_policy,
-            wait_policy=wait_policy,
-            snapshot_cache=snapshot_cache,
-            shards=shards,
-            processes=processes,
-            record_history=record_history,
-        )
+        self.manager: Engine = create_engine(database, **engine_options)
         #: Upper bound on one strict-ordering wait, in seconds.
         self.wait_timeout = wait_timeout
         self.max_inflight = max_inflight
@@ -332,12 +300,12 @@ class AsyncTransactionServer:
         # different connections run engine calls concurrently.  None
         # means classic mode: the loop itself is the engine critical
         # section.
-        if getattr(self.manager, "thread_safe", False) and shards > 1:
+        if getattr(self.manager, "thread_safe", False):
             self._lanes: list[ThreadPoolExecutor] | None = [
                 ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix=f"aio-shard-{i}"
                 )
-                for i in range(shards)
+                for i in range(self.manager.shards)
             ]
         else:
             self._lanes = None
@@ -594,22 +562,11 @@ class AsyncServerThread:
     talks to it over TCP exactly as to the threaded server.
     """
 
-    def __init__(
-        self,
-        server: AsyncTransactionServer,
-        host: str,
-        port: int,
-        use_uvloop: bool | None = None,
-    ):
+    #: The event loop the server runs on (reported by benchmarks).
+    loop_implementation = "asyncio"
+
+    def __init__(self, server: AsyncTransactionServer, host: str, port: int):
         self.server = server
-        # None = auto: take uvloop when the optional extra is importable.
-        # True degrades gracefully too — the request is best-effort, and
-        # ``loop_implementation`` reports what actually ran.
-        self._use_uvloop = uvloop_available() if use_uvloop is None else (
-            use_uvloop and uvloop_available()
-        )
-        #: ``"uvloop"`` or ``"asyncio"`` — the loop that actually ran.
-        self.loop_implementation = "uvloop" if self._use_uvloop else "asyncio"
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._ready = threading.Event()
@@ -636,13 +593,7 @@ class AsyncServerThread:
             await self._stop.wait()
             await self.server.aclose()
 
-        if self._use_uvloop:
-            # asyncio.run grew loop_factory only in 3.12; Runner has it
-            # since 3.11 and is otherwise the same machinery.
-            with asyncio.Runner(loop_factory=_uvloop.new_event_loop) as runner:
-                runner.run(main())
-        else:
-            asyncio.run(main())
+        asyncio.run(main())
 
     @property
     def port(self) -> int:
@@ -662,30 +613,22 @@ def serve_in_thread(
     database: Database,
     host: str = "127.0.0.1",
     port: int = 0,
-    protocol: str = "esr",
-    export_policy: str = "max",
+    *,
     wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-    wait_policy: str = "wait",
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    snapshot_cache: bool = False,
-    shards: int = 1,
-    processes: bool | str = False,
     codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-    use_uvloop: bool | None = None,
-    record_history: bool = False,
+    **engine_options: Any,
 ) -> AsyncServerThread:
-    """Start an async server on a background loop thread (bound and live)."""
+    """Start an async server on a background loop thread (bound and live).
+
+    Keywords beyond the server's own are engine options for
+    :func:`~repro.engine.api.create_engine`.
+    """
     server = AsyncTransactionServer(
         database,
-        protocol=protocol,
-        export_policy=export_policy,
-        wait_policy=wait_policy,
         wait_timeout=wait_timeout,
         max_inflight=max_inflight,
-        snapshot_cache=snapshot_cache,
-        shards=shards,
-        processes=processes,
         codecs=codecs,
-        record_history=record_history,
+        **engine_options,
     )
-    return AsyncServerThread(server, host, port, use_uvloop=use_uvloop)
+    return AsyncServerThread(server, host, port)

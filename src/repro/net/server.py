@@ -105,7 +105,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class TransactionServer(socketserver.ThreadingTCPServer):
-    """A TCP transaction server around one database."""
+    """A TCP transaction server around one database.
+
+    Every keyword beyond the server's own (``wait_timeout``, ``codecs``)
+    is an engine option for :func:`~repro.engine.api.create_engine`.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -114,30 +118,16 @@ class TransactionServer(socketserver.ThreadingTCPServer):
         self,
         database: Database,
         address: tuple[str, int] = ("127.0.0.1", 0),
-        protocol: str = "esr",
-        export_policy: str = "max",
+        *,
         wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-        wait_policy: str = "wait",
-        snapshot_cache: bool = False,
-        shards: int = 1,
-        processes: bool | str = False,
         codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-        record_history: bool = False,
+        **engine_options: Any,
     ):
         # Build (and validate) the engine before binding the socket, so
         # a bad protocol/option combination never leaks a bound port —
         # and, in process mode, so the shard workers fork before any
         # serving thread exists.
-        self.manager = create_engine(
-            database,
-            protocol,
-            export_policy=export_policy,
-            wait_policy=wait_policy,
-            snapshot_cache=snapshot_cache,
-            shards=shards,
-            processes=processes,
-            record_history=record_history,
-        )
+        self.manager = create_engine(database, **engine_options)
         super().__init__(address, _Handler)
         #: Upper bound on one strict-ordering wait (see module constant).
         self.wait_timeout = wait_timeout
@@ -204,29 +194,22 @@ def serve_forever(
     database: Database,
     host: str = "127.0.0.1",
     port: int = 0,
-    protocol: str = "esr",
-    export_policy: str = "max",
+    *,
     wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-    wait_policy: str = "wait",
-    snapshot_cache: bool = False,
-    shards: int = 1,
-    processes: bool | str = False,
     codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-    record_history: bool = False,
+    **engine_options: Any,
 ) -> TransactionServer:
-    """Start a server on a background thread; returns it (bound and live)."""
+    """Start a server on a background thread; returns it (bound and live).
+
+    Keywords beyond the server's own are engine options for
+    :func:`~repro.engine.api.create_engine`.
+    """
     server = TransactionServer(
         database,
         (host, port),
-        protocol=protocol,
-        export_policy=export_policy,
         wait_timeout=wait_timeout,
-        wait_policy=wait_policy,
-        snapshot_cache=snapshot_cache,
-        shards=shards,
-        processes=processes,
         codecs=codecs,
-        record_history=record_history,
+        **engine_options,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -46,7 +46,7 @@ class SimulationConfig:
     The config is pure data — strings, numbers and frozen dataclasses,
     never callables or closures — so it pickles cleanly into the worker
     processes of the parallel experiment runner.  Anything behavioural
-    (the distance function, the protocol, the wait policy) is named by a
+    (the distance function, the protocol) is named by a
     spec string and resolved inside :func:`build_simulation`, i.e. in
     whichever process actually runs the cell.
     """
@@ -66,14 +66,10 @@ class SimulationConfig:
     #: plain strict 2PL), or multi-version timestamp ordering
     #: (``"mvto"``, the serializable baseline section 5.1 contrasts).
     protocol: str = "esr"
-    export_policy: str = "max"
     #: Distance-function spec string (see
     #: :func:`repro.core.metric.distance_by_name`), resolved in the
     #: worker so the config itself stays picklable.
     distance: str = "absolute"
-    #: Strict-ordering conflicts: ``"wait"`` (the paper's choice) or
-    #: ``"abort"`` (abort-with-restart instead).  TSO engines only.
-    wait_policy: str = "wait"
     #: Serve bounded-staleness query reads from the epsilon snapshot
     #: cache (zero service time, no service unit).  ESR only — the cache
     #: meters staleness through the inconsistency ledger, which no other
@@ -125,7 +121,6 @@ class SimulationConfig:
             validate_protocol_options(
                 self.protocol,
                 snapshot_cache=self.snapshot_cache,
-                wait_policy=self.wait_policy,
                 shards=self.shards,
                 processes=bool(self.processes),
             )
@@ -210,8 +205,6 @@ def build_simulation(
         database,
         config.protocol,
         distance=distance,
-        export_policy=config.export_policy,
-        wait_policy=config.wait_policy,
         snapshot_cache=config.snapshot_cache,
         shards=config.shards,
         processes=config.processes,

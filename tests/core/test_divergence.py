@@ -2,18 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.divergence import (
-    EXPORT_POLICIES,
-    export_divergence,
-    import_divergence,
-    max_export_divergence,
-    sum_export_divergence,
-)
+from repro.core.divergence import export_divergence, import_divergence
 from repro.core.metric import ScaledDistance
-from repro.errors import SpecificationError
 
 values = st.floats(min_value=-1e6, max_value=1e6)
 
@@ -37,36 +29,13 @@ class TestImportDivergence:
 class TestExportDivergence:
     def test_max_over_concurrent_readers(self):
         # Paper Figure 6: d = max(|N5-P1|, |N5-P2|) over readers.
-        d = max_export_divergence(7_000.0, [5_000.0, 6_500.0, 7_100.0])
+        d = export_divergence(7_000.0, [5_000.0, 6_500.0, 7_100.0])
         assert d == 2_000.0
 
-    def test_sum_policy_is_wu_et_al(self):
-        d = sum_export_divergence(7_000.0, [5_000.0, 6_500.0])
-        assert d == 2_500.0
-
     def test_no_readers_exports_nothing(self):
-        assert max_export_divergence(1_000.0, []) == 0.0
-        assert sum_export_divergence(1_000.0, []) == 0.0
-
-    def test_dispatch_by_name(self):
-        readers = [1.0, 5.0]
-        assert export_divergence(10.0, readers, policy="max") == 9.0
-        assert export_divergence(10.0, readers, policy="sum") == 14.0
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(SpecificationError, match="unknown export policy"):
-            export_divergence(1.0, [0.0], policy="median")
-
-    def test_policy_registry_names(self):
-        assert set(EXPORT_POLICIES) == {"max", "sum"}
-
-    @given(values, st.lists(values, min_size=1, max_size=10))
-    def test_sum_dominates_max(self, new_value, readers):
-        assert sum_export_divergence(new_value, readers) >= (
-            max_export_divergence(new_value, readers) - 1e-9
-        )
+        assert export_divergence(1_000.0, []) == 0.0
 
     @given(values, st.lists(values, min_size=1, max_size=10))
     def test_max_equals_worst_single_reader(self, new_value, readers):
         expected = max(abs(new_value - p) for p in readers)
-        assert max_export_divergence(new_value, readers) == expected
+        assert export_divergence(new_value, readers) == expected

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog
+from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.objects import DataObject
 from repro.engine.results import (
@@ -18,6 +19,8 @@ from repro.engine.results import (
 )
 from repro.engine.timestamps import Timestamp
 from repro.engine.transactions import TransactionKind, TransactionState
+
+from .topology import TOPOLOGIES, build_engine
 
 
 def ts(t: float) -> Timestamp:
@@ -254,14 +257,6 @@ class TestCase3LateWrite:
         outcome = esr_write_decision(obj, update, 5_500.0)
         assert outcome.inconsistency == 1_500.0  # max(500, 1500)
 
-    def test_sum_policy(self):
-        obj = DataObject(1, 5_000.0)
-        obj.record_read(50, ts(20), True, 5_000.0)
-        obj.record_read(51, ts(21), True, 4_000.0)
-        update = make_txn("update", 10, tel=10_000.0, txn_id=2)
-        outcome = esr_write_decision(obj, update, 5_500.0, export_policy="sum")
-        assert outcome.inconsistency == 2_000.0
-
     def test_rejected_past_tel(self):
         obj = self._setup()
         update = make_txn("update", 10, tel=100.0, txn_id=2)
@@ -318,3 +313,49 @@ class TestCase3LateWrite:
         update = make_txn("update", 10, tel=0.0, txn_id=2)
         outcome = esr_write_decision(obj, update, 9_999.0)
         assert outcome == Granted()
+
+
+#: The bare engine, then the shard composite on every topology.
+ENGINES = {
+    "bare": {},
+    **{
+        name: {"shards": 2, "processes": processes}
+        for name, processes in TOPOLOGIES.items()
+    },
+}
+
+
+@pytest.fixture(params=list(ENGINES.values()), ids=list(ENGINES))
+def engine(request):
+    db = Database()
+    db.create_many((i, 1_000.0) for i in range(1, 4))
+    engine = build_engine(db, **request.param)
+    yield engine
+    close = getattr(engine, "close", None)
+    if close:
+        close()
+
+
+class TestStrictOrderingWaits:
+    """Section 4: a conflict the bounds cannot absorb waits, on every
+    engine shape — and an update ET's reads are always consistent."""
+
+    def test_wait_policy_parks_the_reader(self, engine):
+        writer = engine.begin("update")
+        engine.write(writer, 1, 1_500.0)
+        reader = engine.begin("query", TransactionBounds())
+        outcome = engine.read(reader, 1)
+        assert outcome == MustWait(writer.transaction_id)
+        assert reader.is_active
+        assert engine.metrics.waits == 1
+
+    def test_default_updates_stay_consistent(self, engine):
+        both = TransactionBounds(import_limit=10_000.0, export_limit=10_000.0)
+        writer = engine.begin("update", both)
+        engine.write(writer, 1, 1_500.0)
+        # A non-zero import limit does not let an update read through.
+        plain = engine.begin("update", both)
+        outcome = engine.read(plain, 1)
+        assert outcome == MustWait(writer.transaction_id)
+        assert plain.import_account is None
+        assert plain.imported == 0.0

@@ -85,7 +85,6 @@ def _run_mixed_load(engine, extended: bool = False) -> None:
         TransactionBounds(25.0, 75.0),
         group_limits={"hot": 40.0},
         object_limits={3: 5.0},
-        allow_inconsistent_reads=True,
     )
     engine.write(declared, 3, 402.5)
     waiter = engine.begin("update", TransactionBounds(0.0, 10.0))
@@ -314,7 +313,6 @@ _SHARDED_EVENTS = [
     _event(
         "begin", 7, txn_kind="update", import_limit=25.0, export_limit=75.0,
         group_limits={"hot": 40.0}, object_limits={3: 5.0},
-        allow_inconsistent_reads=True,
     ),
     _event("write", 7, shard=1, object_id=3, value=402.5),
     _event("begin", 8, txn_kind="update", import_limit=0.0, export_limit=10.0),
@@ -331,21 +329,22 @@ _SHARDED_EVENTS = [
 ]
 
 #: sha256 of ``HistoryLog.dumps()`` for the extended load, computed at
-#: the commit before the recorder stored rows (PR 13).  Every shape is
-#: in: driven from one thread, thread shards record inside the one
-#: running critical section and worker shards answer one op at a time,
-#: so the event order is the call order on all of them.  The two worker
-#: topologies agree because a failed-over shard records as a thread
-#: shard does, and neither has a snapshot cache.
+#: the commit before update ETs lost their import flag (the load's one
+#: use of it dropped too, so both sides record the same decisions).
+#: Every shape is in: driven from one thread, thread shards record
+#: inside the one running critical section and worker shards answer one
+#: op at a time, so the event order is the call order on all of them.
+#: The two worker topologies agree because a failed-over shard records
+#: as a thread shard does, and neither has a snapshot cache.
 _PINNED_DUMPS = {
-    "bare": "95241fe2ff89b960e3b7b1e50442c343605ab0a3ebdcb37466823963d5d4caf2",
-    "sharded": "39604ac53ab70bb47ddd3ef2b235d0a649f1a493cef353514104ed1cc3cbd01f",
-    "procshard": "c49bdca70e6ce59b5a277575a0c45376bdb8e12b535e1da1b7eb5d0eb338e487",
+    "bare": "524b4f0a16789f6fb2ea9b55064512e3dfff3e362e89968f28cf1b4c54d95384",
+    "sharded": "0be43ff5a3c4e57a024a0b4e26958494174309af3d0fe146e23399c677512c20",
+    "procshard": "dee24d41374ff80a7438e0595e3c3a0a6bc429e855db6e9eb5a62603fa2ca060",
     "procshard-failed-over": (
-        "c49bdca70e6ce59b5a277575a0c45376bdb8e12b535e1da1b7eb5d0eb338e487"
+        "dee24d41374ff80a7438e0595e3c3a0a6bc429e855db6e9eb5a62603fa2ca060"
     ),
-    "sr": "9e5aa65554673f4b3ce7e16fc4e125fd67f73aea71f27517d1ce792ce7e4b0e0",
-    "2pl": "e1c073d90ab27513a4886a347fc072c2d8d7df535645bf3882c38fae3e4e841d",
+    "sr": "cec7d0535f3333403a2bf1e70393f35a84c3f08901208531c66aaaa38851f8d5",
+    "2pl": "150797dfa2fbe3e902222086e8ff754614a182e5893580dd696063776a35913b",
     "mvto": "67c16f1bdea7de9aa28010151df5c3825e5ea8ddde78dc90d90716e69bf4501f",
 }
 

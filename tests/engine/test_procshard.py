@@ -383,7 +383,7 @@ class TestDeltaSync:
         assert after["rpc_batched_ops"] - before["rpc_batched_ops"] == 2
 
     def test_sync_tag_mix_none_delta_full(self, make_engine):
-        """A cross-shard update sees all three sync-in shapes: full on
+        """A cross-shard query sees all three sync-in shapes: full on
         first touch, delta after another shard moved the canonical
         state, none when the shard is already current."""
         from repro import perf
@@ -394,13 +394,9 @@ class TestDeltaSync:
         assert isinstance(engine.write(writer, 1, 60.0), Granted)
 
         before = perf.counters.snapshot()
-        reader = engine.begin(
-            "update",
-            TransactionBounds(export_limit=1e9, import_limit=1e9),
-            allow_inconsistent_reads=True,
-        )
-        # Uncommitted reads charge import inconsistency, so every op
-        # below advances the canonical account version.
+        reader = engine.begin("query", TransactionBounds(import_limit=1e9))
+        # The two uncommitted reads charge import inconsistency, so each
+        # advances the canonical account version.
         assert isinstance(engine.read(reader, 0), Granted)  # shard 0: full
         assert isinstance(engine.read(reader, 1), Granted)  # shard 1: full
         assert isinstance(engine.read(reader, 2), Granted)  # shard 0: delta
@@ -438,20 +434,27 @@ class TestDeltaSync:
         """Commits that reached the parent through the delta-sync path
         survive a worker SIGKILL: the mirrored committed state the
         failover engine adopts includes them."""
+        from repro import perf
+
         engine = make_engine(database=_database(8), shards=2)
         writer = engine.begin("update", TransactionBounds(export_limit=1e9))
         assert isinstance(engine.write(writer, 0, 41.0), Granted)
-        reader = engine.begin(
-            "update",
-            TransactionBounds(export_limit=1e9, import_limit=1e9),
-            allow_inconsistent_reads=True,
-        )
-        # Charge import inconsistency across both shards so the commit
-        # below rides on delta-synced account state.
-        assert isinstance(engine.read(reader, 0), Granted)
-        assert isinstance(engine.read(reader, 1), Granted)
-        assert isinstance(engine.write(reader, 2, 43.0), Granted)
-        engine.commit(reader)
+        older = engine.begin("update", TransactionBounds(export_limit=1e9))
+        query = engine.begin("query", TransactionBounds(import_limit=1e9))
+        for object_id in (1, 2, 4):
+            assert isinstance(engine.read(query, object_id), Granted)
+        # The older update's late writes export to the query on both
+        # shards (case 3); its third write ships the first one's charge
+        # back to shard 0 as a delta, so its commit rides on
+        # delta-synced account state.
+        before = perf.counters.rpc_sync_delta
+        assert isinstance(engine.write(older, 2, 43.0), Granted)
+        assert isinstance(engine.write(older, 1, 42.0), Granted)
+        assert isinstance(engine.write(older, 4, 44.0), Granted)
+        assert perf.counters.rpc_sync_delta > before
+        assert older.exported > 0.0
+        engine.commit(older)
+        engine.commit(query)
         engine.commit(writer)
 
         pid = engine.worker_pids()[0]
@@ -462,7 +465,7 @@ class TestDeltaSync:
         assert engine.failed_shards() == (0,)
 
         retry = engine.begin("query", TransactionBounds(import_limit=1e9))
-        for object_id, expected in ((0, 41.0), (2, 43.0), (1, 100.0)):
+        for object_id, expected in ((0, 41.0), (2, 43.0), (1, 42.0), (4, 44.0)):
             outcome = engine.read(retry, object_id)
             assert isinstance(outcome, Granted)
             assert outcome.value == expected

@@ -588,10 +588,3 @@ class TestRegistryAgreement:
             validate_protocol_options("esr", shards=0)
         with pytest.raises(SpecificationError):
             create_engine(_database(2), "esr", shards=0)
-
-    def test_wait_policy_validated(self):
-        validate_protocol_options("esr", wait_policy="abort")
-        with pytest.raises(SpecificationError):
-            validate_protocol_options("2pl", wait_policy="abort")
-        with pytest.raises(SpecificationError):
-            validate_protocol_options("esr", wait_policy="spin")

@@ -122,13 +122,12 @@ class TestCachedReadFastPath:
     def test_own_write_falls_back(self):
         manager = make_manager()
         update = manager.begin(
-            "update",
-            TransactionBounds(import_limit=1e9, export_limit=1e9),
-            allow_inconsistent_reads=True,
+            "update", TransactionBounds(import_limit=1e9, export_limit=1e9)
         )
         manager.write(update, 1, 11.0)
         # The snapshot only holds committed state; a transaction with a
-        # staged write must read its own value through the engine.
+        # staged write must read its own value through the engine (an
+        # update's import limit does not make it a snapshot reader).
         assert manager.read_cached(update, 1) is None
 
     def test_finished_transaction_falls_back(self):

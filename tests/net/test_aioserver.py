@@ -20,7 +20,7 @@ from repro.core.bounds import HIGH_EPSILON, TransactionBounds
 from repro.engine.database import Database
 from repro.errors import TransactionAborted
 from repro.net.aioclient import connect
-from repro.net.aioserver import serve_in_thread, uvloop_available
+from repro.net.aioserver import serve_in_thread
 from repro.net.client import RemoteConnection
 from repro.net.protocol import encode_message
 
@@ -200,38 +200,6 @@ class TestBatchingAndBackpressure:
             assert perf.counters.net_backpressure_stalls > before
         finally:
             server.shutdown()
-
-
-class TestUvloop:
-    """uvloop is an optional extra; the server must be identical without it."""
-
-    def _roundtrip(self, **kwargs) -> None:
-        server = _serve(**kwargs)
-        try:
-            assert server.loop_implementation in ("asyncio", "uvloop")
-            with RemoteConnection("127.0.0.1", server.port) as conn:
-                with conn.begin("update", HIGH_EPSILON) as txn:
-                    assert txn.read(5) == 500.0
-                    txn.write(5, 555.0)
-            assert server.manager.database.get(5).committed_value == 555.0
-        finally:
-            server.shutdown()
-        return server.loop_implementation
-
-    def test_auto_detection_serves_either_way(self):
-        implementation = self._roundtrip()  # use_uvloop=None: auto
-        if not uvloop_available():
-            assert implementation == "asyncio"
-
-    def test_requesting_uvloop_degrades_gracefully(self):
-        """``use_uvloop=True`` without the package falls back to asyncio
-        instead of failing — same wire behaviour either way."""
-        implementation = self._roundtrip(use_uvloop=True)
-        if not uvloop_available():
-            assert implementation == "asyncio"
-
-    def test_uvloop_disabled_explicitly(self):
-        assert self._roundtrip(use_uvloop=False) == "asyncio"
 
 
 class TestLifecycle:

@@ -83,7 +83,7 @@ class TestWaitTimeout:
 
 
 class TestServeForeverForwarding:
-    """Regression: serve_forever used to drop every policy knob."""
+    """Regression: serve_forever used to drop every option it was given."""
 
     def _database(self) -> Database:
         db = Database()
@@ -92,40 +92,11 @@ class TestServeForeverForwarding:
 
     def test_policies_reach_the_server_and_manager(self):
         srv = serve_forever(
-            self._database(),
-            export_policy="sum",
-            wait_timeout=0.05,
-            wait_policy="abort",
+            self._database(), wait_timeout=0.05, snapshot_cache=True
         )
         try:
             assert srv.wait_timeout == 0.05
-            assert srv.manager.export_policy == "sum"
-            assert srv.manager.wait_policy == "abort"
-        finally:
-            srv.shutdown()
-            srv.server_close()
-
-    def test_abort_wait_policy_is_honoured_end_to_end(self):
-        srv = serve_forever(self._database(), wait_policy="abort")
-        try:
-            sessions = {}
-            writer_id = srv.dispatch(
-                {"op": "begin", "kind": "update", "limit": 0.0}, sessions
-            )["txn"]
-            srv.dispatch(
-                {"op": "write", "txn": writer_id, "object": 1, "value": 150.0},
-                sessions,
-            )
-            reader_id = srv.dispatch(
-                {"op": "begin", "kind": "query", "limit": 0.0}, sessions
-            )["txn"]
-            # Under wait_policy="abort" the conflicting read aborts at
-            # once rather than blocking until the wait timeout.
-            response = srv.dispatch(
-                {"op": "read", "txn": reader_id, "object": 1}, sessions
-            )
-            assert response["ok"] is False
-            assert response["reason"] == "conflict-abort"
+            assert srv.manager.snapshot is not None
         finally:
             srv.shutdown()
             srv.server_close()
