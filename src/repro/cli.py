@@ -8,7 +8,6 @@ Subcommands::
     repro sweep --mpl 4 --til 1e5 ...     one simulation run, metrics printed
     repro sweep ... --profile             same, under cProfile + perf counters
     repro bench-hotpath [--update]        hot-path micro suite vs. baseline
-    repro bench-net [--quick] [--update]  serving-layer load benchmark
     repro gen-workload out.trace ...      write a client trace file
     repro serve [--async] [--port N] ...  start the networked prototype
     repro run-trace out.trace --port N    replay a trace against a server
@@ -196,63 +195,6 @@ def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
         return 0
     if args.update or baseline is None:
         hotpath.write_baseline(report, args.baseline)
-        print(f"\nwrote baseline {args.baseline}")
-    return 0
-
-
-def _cmd_bench_net(args: argparse.Namespace) -> int:
-    from repro.experiments import netbench
-
-    if args.rate is not None and args.mode != "open":
-        print("error: --rate only makes sense with --mode open", file=sys.stderr)
-        return 2
-    if args.quick:
-        config = netbench.QUICK_CONFIG
-    else:
-        config = netbench.LoadConfig(
-            connections=args.connections,
-            depth=args.depth,
-            duration_s=args.duration,
-            objects=args.objects,
-            reads_per_txn=args.reads,
-            mode=args.mode,
-            rate=args.rate,
-            codec=args.codec,
-        )
-    servers = (
-        tuple(args.server) if args.server else netbench.DEFAULT_SERVERS
-    )
-    print(
-        f"running bench-net: {config.connections} connections × depth "
-        f"{config.depth}, {config.mode} loop, {config.duration_s:g}s per "
-        "server..."
-    )
-    report = netbench.run_suite(config, servers=servers, progress=print)
-    print()
-    print(netbench.format_report(report))
-    baseline = netbench.load_baseline(args.baseline)
-    if baseline is not None:
-        print(f"\nvs. baseline {args.baseline}:")
-        print(netbench.format_comparison(baseline, report))
-    if args.p99_guard:
-        if baseline is None:
-            print(f"\np99 guard skipped: no baseline at {args.baseline}")
-        else:
-            problems = netbench.check_p99_regression(
-                baseline, report, factor=args.p99_factor
-            )
-            if problems:
-                print("\np99 regression guard FAILED:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print(
-                f"\np99 guard passed (within {args.p99_factor:g}x of baseline)"
-            )
-    if args.quick:
-        return 0
-    if args.update or baseline is None:
-        netbench.write_baseline(report, args.baseline)
         print(f"\nwrote baseline {args.baseline}")
     return 0
 
@@ -703,72 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the markdown report here"
     )
 
-    bench_net = sub.add_parser(
-        "bench-net",
-        help="benchmark the serving layer (threaded vs. async) over localhost",
-    )
-    bench_net.add_argument("--connections", type=int, default=32)
-    bench_net.add_argument(
-        "--depth", type=int, default=8, help="pipelined sessions per connection"
-    )
-    bench_net.add_argument(
-        "--duration", type=float, default=5.0, help="seconds per server"
-    )
-    bench_net.add_argument("--objects", type=int, default=256)
-    bench_net.add_argument(
-        "--reads", type=int, default=1, help="reads per benchmark transaction"
-    )
-    bench_net.add_argument("--mode", choices=("closed", "open"), default="closed")
-    bench_net.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="open-loop offered transactions/s (requires --mode open)",
-    )
-    bench_net.add_argument(
-        "--codec",
-        choices=("json", "binary-1"),
-        default="json",
-        help="wire codec for the load generator (suite rows may override)",
-    )
-    bench_net.add_argument(
-        "--p99-guard",
-        action="store_true",
-        help="fail (exit 1) when any closed-loop row's p99 exceeds "
-        "--p99-factor times the baseline's p99",
-    )
-    bench_net.add_argument(
-        "--p99-factor",
-        type=float,
-        default=3.0,
-        help="p99 regression tolerance for --p99-guard (default 3.0)",
-    )
-    from repro.experiments.netbench import SUITE_ROWS
-
-    bench_net.add_argument(
-        "--server",
-        action="append",
-        choices=tuple(SUITE_ROWS),
-        help="suite row(s) to run (default: all rows)",
-    )
-    bench_net.add_argument(
-        "--baseline",
-        default="BENCH_net.json",
-        help="baseline file to compare with and/or update (default: "
-        "BENCH_net.json)",
-    )
-    bench_net.add_argument(
-        "--update",
-        action="store_true",
-        help="write the measured numbers back as the new baseline",
-    )
-    bench_net.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny config — execution smoke test only, timings meaningless; "
-        "never writes the baseline",
-    )
-
     run = sub.add_parser("run-trace", help="replay a trace against a server")
     run.add_argument("trace")
     run.add_argument("--host", default="127.0.0.1")
@@ -784,7 +660,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "sweep": _cmd_sweep,
     "bench-hotpath": _cmd_bench_hotpath,
-    "bench-net": _cmd_bench_net,
     "gen-workload": _cmd_gen_workload,
     "serve": _cmd_serve,
     "check": _cmd_check,

@@ -11,8 +11,8 @@ does the matching, so the same client drives both.
 
 :class:`AsyncRemoteTransaction` mirrors the synchronous
 :class:`~repro.net.client.RemoteTransaction` with ``async`` operations.
-The load generator behind ``repro bench-net`` multiplexes many such
-transactions per connection to fill the pipeline.
+Many such transactions can share one connection, which is how the
+tests drive the asyncio server's out-of-order answers.
 """
 
 from __future__ import annotations

@@ -558,7 +558,7 @@ class AsyncServerThread:
     The synchronous counterpart of :func:`repro.net.server.serve_forever`:
     construction blocks until the server is bound, ``port`` is readable
     from any thread, and :meth:`shutdown` stops the loop and joins the
-    thread.  Client code (tests, the bench-net load generator, the CLI)
+    thread.  Client code (tests, the chaos harness, the CLI)
     talks to it over TCP exactly as to the threaded server.
     """
 

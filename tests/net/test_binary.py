@@ -189,6 +189,12 @@ class TestSyncClientNegotiation:
             assert after["net_codec_binary_frames_decoded"] > before[
                 "net_codec_binary_frames_decoded"
             ]
+            # Every request and answer of a plain transaction has a fixed
+            # layout, so none of them fell back to a JSON frame.
+            assert (
+                after["net_codec_json_fallbacks"]
+                == before["net_codec_json_fallbacks"]
+            )
             assert server.manager.database.get(5).committed_value == 555.0
         finally:
             server.shutdown()

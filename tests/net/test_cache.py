@@ -115,21 +115,24 @@ class TestCachedReadsOverTheWire:
             stop()
 
     def test_perf_counters_account_for_hits(self):
-        before = perf.counters.snapshot()
-        _, port, stop = _async()
-        try:
-            conn = RemoteConnection("127.0.0.1", port)
+        def hits_for_three_reads(handle) -> int:
+            before = perf.counters.snapshot()
             try:
-                txn = conn.begin("query", 0.0)
-                for object_id in (1, 2, 3):
-                    txn.read(object_id)
-                txn.commit()
+                conn = RemoteConnection("127.0.0.1", handle.port)
+                try:
+                    txn = conn.begin("query", 0.0)
+                    for object_id in (1, 2, 3):
+                        txn.read(object_id)
+                    txn.commit()
+                finally:
+                    conn.close()
             finally:
-                conn.close()
-        finally:
-            stop()
-        after = perf.counters.snapshot()
-        assert after["cache_hits"] - before["cache_hits"] >= 3
+                handle.shutdown()
+            return perf.counters.snapshot()["cache_hits"] - before["cache_hits"]
+
+        assert hits_for_three_reads(_async()[0]) >= 3
+        # The same reads against a server without the cache never hit it.
+        assert hits_for_three_reads(serve_in_thread(_database())) == 0
 
 
 class _RawClient:

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _COMMANDS, build_parser, main
 
 
 class TestParser:
@@ -18,6 +18,19 @@ class TestParser:
         args = build_parser().parse_args(["figure", "fig7", "--fast"])
         assert args.name == "fig7"
         assert args.fast
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_subcommand_builds_its_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert command in capsys.readouterr().out
+
+    def test_removed_subcommand_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench-net"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTable1:
