@@ -3,7 +3,6 @@
 The subpackage implements the paper's contribution proper, independent of
 any particular concurrency control or runtime:
 
-* :mod:`repro.core.metric` — metric-space distance functions;
 * :mod:`repro.core.bounds` — TIL/TEL/OIL/OEL and the standard epsilon levels;
 * :mod:`repro.core.hierarchy` — hierarchical inconsistency bounds, the
   bottom-up check-and-charge mechanism;
@@ -29,14 +28,6 @@ from repro.core.bounds import (
 )
 from repro.core.divergence import export_divergence, import_divergence
 from repro.core.hierarchy import ROOT_GROUP, ChargeOutcome, GroupCatalog, HierarchyLedger
-from repro.core.metric import (
-    DistanceFunction,
-    ScaledDistance,
-    absolute_distance,
-    check_metric_axioms,
-    discrete_distance,
-    euclidean_distance,
-)
 
 __all__ = [
     "Direction",
@@ -61,10 +52,4 @@ __all__ = [
     "ChargeOutcome",
     "GroupCatalog",
     "HierarchyLedger",
-    "DistanceFunction",
-    "ScaledDistance",
-    "absolute_distance",
-    "check_metric_axioms",
-    "discrete_distance",
-    "euclidean_distance",
 ]

@@ -12,13 +12,13 @@ Import side (section 5.1)
     *present* value instead of its *proper* value — the value the read
     would have returned had no concurrent updates run, i.e. the newest
     committed write older than the query's timestamp.
-    ``d = distance(present, proper)``.
+    ``d = |present - proper|``.
 
 Export side (section 5.2)
     An update write with new value ``N`` exports inconsistency to every
     concurrent query that already read the object.  For each such reader
     with stored proper value ``P_i``, the divergence is
-    ``distance(N, P_i)``; the paper charges the **maximum** over readers,
+    ``|N - P_i|``; the paper charges the **maximum** over readers,
     because each query reads an object at most once (Wu et al. charge the
     sum, which over-counts under that assumption).
 """
@@ -27,16 +27,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.metric import DistanceFunction, absolute_distance
-
 __all__ = ["import_divergence", "export_divergence"]
 
 
-def import_divergence(
-    present: float,
-    proper: float,
-    distance: DistanceFunction = absolute_distance,
-) -> float:
+def import_divergence(present: float, proper: float) -> float:
     """Inconsistency a query read would import (section 5.1).
 
     ``present`` is the object's current value (possibly uncommitted);
@@ -44,13 +38,11 @@ def import_divergence(
     updates.  With no concurrent updates the two coincide and the
     divergence is zero.
     """
-    return distance(present, proper)
+    return abs(present - proper)
 
 
 def export_divergence(
-    new_value: float,
-    reader_proper_values: Iterable[float],
-    distance: DistanceFunction = absolute_distance,
+    new_value: float, reader_proper_values: Iterable[float]
 ) -> float:
     """The paper's export rule: maximum divergence over concurrent readers.
 
@@ -59,6 +51,6 @@ def export_divergence(
     concurrent readers (the write exports nothing).
     """
     return max(
-        (distance(new_value, proper) for proper in reader_proper_values),
+        (abs(new_value - proper) for proper in reader_proper_values),
         default=0.0,
     )

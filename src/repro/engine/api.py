@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
 from repro.engine.manager import TransactionManager
@@ -236,7 +235,6 @@ def create_engine(
     database: Database,
     protocol: str = "esr",
     *,
-    distance: DistanceFunction = absolute_distance,
     snapshot_cache: bool = False,
     metrics: MetricsCollector | None = None,
     timestamps: TimestampGenerator | None = None,
@@ -281,7 +279,6 @@ def create_engine(
             protocol,
             shards=shards,
             processes=bool(processes) and degraded is None,
-            distance=distance,
             snapshot_cache=snapshot_cache,
             metrics=metrics,
             timestamps=timestamps,
@@ -292,7 +289,6 @@ def create_engine(
     return build_unsharded(
         database,
         spec,
-        distance=distance,
         snapshot_cache=snapshot_cache,
         metrics=metrics,
         timestamps=timestamps,
@@ -304,7 +300,6 @@ def build_unsharded(
     database: Database,
     spec: ProtocolSpec,
     *,
-    distance: DistanceFunction = absolute_distance,
     snapshot_cache: bool = False,
     metrics: MetricsCollector | None = None,
     timestamps: TimestampGenerator | None = None,
@@ -321,7 +316,6 @@ def build_unsharded(
         return TwoPhaseManager(
             database,
             relaxed=spec.relaxed,
-            distance=distance,
             metrics=metrics,
             timestamps=timestamps,
             recorder=recorder,
@@ -338,7 +332,6 @@ def build_unsharded(
     return TransactionManager(
         database,
         protocol=spec.name,
-        distance=distance,
         metrics=metrics,
         timestamps=timestamps,
         snapshot_cache=snapshot_cache,

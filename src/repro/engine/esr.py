@@ -32,7 +32,6 @@ side effect; a rejected admission leaves the account untouched.
 from __future__ import annotations
 
 from repro.core.divergence import export_divergence, import_divergence
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.objects import DataObject
 from repro.engine.results import (
     CASE_LATE_READ,
@@ -52,11 +51,7 @@ from repro.engine.tso import sr_read_decision
 __all__ = ["esr_read_decision", "esr_write_decision"]
 
 
-def esr_read_decision(
-    obj: DataObject,
-    txn: TransactionState,
-    distance: DistanceFunction = absolute_distance,
-) -> Outcome:
+def esr_read_decision(obj: DataObject, txn: TransactionState) -> Outcome:
     """Decide a read under ESR-enhanced TSO.
 
     Query ETs import against their TIL.  Update ETs are consistent (their
@@ -73,7 +68,7 @@ def esr_read_decision(
         # Case 2: a concurrent update has an uncommitted write staged.
         present = obj.uncommitted_value
         proper = obj.proper_value_for(txn.timestamp)
-        d = import_divergence(present, proper, distance)
+        d = import_divergence(present, proper)
         charge = account.admit(obj.object_id, d, oil)
         if charge.admitted:
             case = CASE_READ_UNCOMMITTED if d > 0 else None
@@ -89,7 +84,7 @@ def esr_read_decision(
                 f"uncommitted read of object {obj.object_id} carries "
                 f"inconsistency {d:g} past the {charge.violated_level} limit "
                 f"(uncommitted write by transaction {obj.writer_id}, "
-                f"delta {distance(present, obj.committed_value):g})"
+                f"delta {abs(present - obj.committed_value):g})"
             ),
             violated_level=charge.violated_level,
         )
@@ -101,7 +96,7 @@ def esr_read_decision(
         # Case 1: the read is late — a newer write already committed.
         present = obj.committed_value
         proper = obj.proper_value_for(txn.timestamp)
-        d = import_divergence(present, proper, distance)
+        d = import_divergence(present, proper)
         charge = account.admit(obj.object_id, d, oil)
         if charge.admitted:
             case = CASE_LATE_READ if d > 0 else None
@@ -129,10 +124,7 @@ def esr_read_decision(
 
 
 def esr_write_decision(
-    obj: DataObject,
-    txn: TransactionState,
-    new_value: float,
-    distance: DistanceFunction = absolute_distance,
+    obj: DataObject, txn: TransactionState, new_value: float
 ) -> Outcome:
     """Decide a write under ESR-enhanced TSO (update ETs only).
 
@@ -172,7 +164,7 @@ def esr_write_decision(
         # Case 3: the write would export inconsistency to the concurrent
         # (still uncommitted) query readers of this object.
         oel = txn.effective_object_limit(obj.object_id, obj.bounds.export_limit)
-        d = export_divergence(new_value, obj.query_readers.values(), distance)
+        d = export_divergence(new_value, obj.query_readers.values())
         charge = txn.account.admit(obj.object_id, d, oel)
         if charge.admitted:
             case = CASE_LATE_WRITE if d > 0 else None

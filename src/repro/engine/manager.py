@@ -10,7 +10,8 @@ that never block; waiting and retrying are the hosting runtime's job:
   :class:`~repro.engine.results.MustWait` or
   :class:`~repro.engine.results.Rejected` outcome;
 * a ``MustWait`` means "retry this exact operation after the blocking
-  transaction completes" — subscribe via :attr:`waits`;
+  transaction completes" — subscribe via :attr:`waits` (the paper's
+  "wait based protocol", section 4);
 * a ``Rejected`` outcome has **already aborted the transaction** (the
   paper's protocol: a failed operation aborts the transaction, which the
   client resubmits under a fresh timestamp).
@@ -26,7 +27,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.history import HistoryRecorder
@@ -56,7 +56,6 @@ class TransactionManager:
         self,
         database: Database,
         protocol: str = "esr",
-        distance: DistanceFunction = absolute_distance,
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
         snapshot_cache: bool = False,
@@ -69,11 +68,6 @@ class TransactionManager:
             )
         self.database = database
         self.protocol = protocol
-        #: The paper enforces strict ordering "by using a wait based
-        #: protocol for concurrent operations that are not able to
-        #: execute" (section 4): a conflict answers ``MustWait`` and the
-        #: host parks the operation until the blocker completes.
-        self.distance = distance
         #: The unified history seam: every decision is reported here and
         #: the metrics totals are *derived* from those reports (see
         #: :mod:`repro.engine.history`).  A sharded composite hands each
@@ -93,9 +87,7 @@ class TransactionManager:
         #: engine decision path (and, in the servers, without the engine
         #: critical section).
         if snapshot_cache and protocol == "esr":
-            self.snapshot: SnapshotStore | None = SnapshotStore(
-                database.catalog, distance
-            )
+            self.snapshot: SnapshotStore | None = SnapshotStore(database.catalog)
             self.snapshot.bootstrap(database)
         else:
             self.snapshot = None
@@ -153,7 +145,7 @@ class TransactionManager:
         txn.require_active()
         obj = self.database.get(object_id)
         if self.protocol == "esr":
-            outcome = esr_read_decision(obj, txn, self.distance)
+            outcome = esr_read_decision(obj, txn)
         else:
             outcome = sr_read_decision(obj, txn)
         if isinstance(outcome, Granted):
@@ -207,7 +199,7 @@ class TransactionManager:
             )
         obj = self.database.get(object_id)
         if self.protocol == "esr":
-            outcome = esr_write_decision(obj, txn, value, self.distance)
+            outcome = esr_write_decision(obj, txn, value)
         else:
             outcome = sr_write_decision(obj, txn)
         if isinstance(outcome, Granted):

@@ -100,7 +100,6 @@ import threading
 import weakref
 from collections import deque
 
-from repro.core.metric import DistanceFunction
 from repro.engine.api import build_unsharded, protocol_spec
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
@@ -628,7 +627,6 @@ def _worker_main(
     inherited: list[socket.socket],
     shard_db: Database,
     protocol: str,
-    distance: DistanceFunction,
 ) -> None:
     """One shard worker: an ordinary engine behind a frame loop."""
     # Forked children inherit every socketpair created before their fork;
@@ -639,7 +637,7 @@ def _worker_main(
             other.close()
         except OSError:
             pass
-    engine = build_unsharded(shard_db, protocol_spec(protocol), distance=distance)
+    engine = build_unsharded(shard_db, protocol_spec(protocol))
     engine.waits = _MirrorWaitRegistry()
     siblings: dict[int, TransactionState] = {}
     versions: dict[int, int] = {}
@@ -1141,11 +1139,7 @@ class WorkerShard:
 
 
 def fork_shards(
-    databases: list[Database],
-    protocol: str,
-    recorder: HistoryRecorder,
-    *,
-    distance: DistanceFunction,
+    databases: list[Database], protocol: str, recorder: HistoryRecorder
 ) -> list[WorkerShard]:
     """Fork one daemon worker per shard database; return their backends."""
     context = multiprocessing.get_context("fork")
@@ -1162,7 +1156,7 @@ def fork_shards(
         ]
         process = context.Process(
             target=_worker_main,
-            args=(child_sock, inherited, database, protocol, distance),
+            args=(child_sock, inherited, database, protocol),
             name=f"repro-shard-{index}",
             daemon=True,
         )

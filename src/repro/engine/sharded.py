@@ -85,7 +85,6 @@ import weakref
 from typing import Callable, Mapping
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.api import build_unsharded, validate_protocol_options
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
@@ -371,7 +370,6 @@ class ShardedEngine:
         *,
         shards: int,
         processes: bool = False,
-        distance: DistanceFunction = absolute_distance,
         snapshot_cache: bool = False,
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
@@ -387,7 +385,6 @@ class ShardedEngine:
         self.database = database
         self.protocol = protocol
         self.shards = shards
-        self.distance = distance
         #: Why ``processes=True`` was not honoured (set by
         #: :func:`~repro.engine.api.create_engine`), else None.
         self.process_degraded: str | None = None
@@ -436,12 +433,7 @@ class ShardedEngine:
         if processes:
             from repro.engine.procshard import fork_shards
 
-            self._shards = fork_shards(
-                self._databases,
-                protocol,
-                self.recorder,
-                distance=distance,
-            )
+            self._shards = fork_shards(self._databases, protocol, self.recorder)
             self._finalizer = weakref.finalize(
                 self, _close_shards, list(self._shards)
             )
@@ -458,7 +450,6 @@ class ShardedEngine:
         inner = build_unsharded(
             self._databases[index],
             self._spec,
-            distance=self.distance,
             snapshot_cache=self._snapshot_cache,
             recorder=self.recorder.for_shard(index),
             timestamps=self._timestamps,

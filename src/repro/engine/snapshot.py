@@ -19,7 +19,7 @@ legal engine-path execution could also have produced.
 * The served value is always the snapshot's committed value, which is the
   database's committed value at publish time — exactly what the engine
   returns for an in-order read, or for a Case-1 late read.
-* The charge is ``distance(value, proper(ts))`` computed over the same
+* The charge is ``|value - proper(ts)|`` computed over the same
   committed version window the engine uses — exactly the Case-1 charge
   (zero for in-order reads).
 * When an uncommitted write is in flight, the engine's Case-2 would have
@@ -46,7 +46,7 @@ read; the cache never rejects.
 
 Concurrency discipline: all *mutation* (publish, pending, clear) happens
 inside the engine critical section (the threaded server's mutex, the
-asyncio server's loop, the simulator's single thread).  Reads outside
+asyncio server's loop, an in-process caller's own thread).  Reads outside
 the critical section see each object through one immutable record
 fetched with a single dict lookup, so they can never observe a torn
 value/timestamp pair.  Per-group and root in-flight divergence
@@ -61,7 +61,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.hierarchy import ROOT_GROUP, GroupCatalog
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.objects import DataObject, Version
 from repro.engine.results import CASE_LATE_READ, Granted
 from repro.engine.timestamps import Timestamp
@@ -142,7 +141,6 @@ class SnapshotStore:
 
     __slots__ = (
         "catalog",
-        "distance",
         "_entries",
         "_inflight",
         "hits",
@@ -151,13 +149,8 @@ class SnapshotStore:
         "divergence_charged",
     )
 
-    def __init__(
-        self,
-        catalog: GroupCatalog,
-        distance: DistanceFunction = absolute_distance,
-    ):
+    def __init__(self, catalog: GroupCatalog):
         self.catalog = catalog
-        self.distance = distance
         self._entries: dict[int, PublishedObject] = {}
         #: Incremental per-group (and root) sum of pending uncommitted
         #: deltas of member objects.
@@ -180,8 +173,8 @@ class SnapshotStore:
         previous = self._entries.get(obj.object_id)
         cumulative = 0.0
         if previous is not None:
-            cumulative = previous.cumulative_divergence + self.distance(
-                obj.committed_value, previous.value
+            cumulative = previous.cumulative_divergence + abs(
+                obj.committed_value - previous.value
             )
             if previous.pending_delta:
                 self._shift_inflight(obj.object_id, -previous.pending_delta)
@@ -199,7 +192,7 @@ class SnapshotStore:
         entry = self._entries.get(obj.object_id)
         if entry is None:
             return
-        delta = self.distance(obj.uncommitted_value, obj.committed_value)
+        delta = abs(obj.uncommitted_value - obj.committed_value)
         if entry.pending_delta:
             self._shift_inflight(obj.object_id, -entry.pending_delta)
         self._entries[obj.object_id] = PublishedObject(
@@ -292,9 +285,7 @@ def snapshot_read(
         _perf.cache_misses += 1
         return None
     if txn.timestamp < entry.commit_ts:
-        staleness = store.distance(
-            entry.value, entry.proper_value_for(txn.timestamp)
-        )
+        staleness = abs(entry.value - entry.proper_value_for(txn.timestamp))
     else:
         staleness = 0.0
     guarded = staleness + entry.pending_delta

@@ -15,12 +15,12 @@ Lock semantics:
   transaction (strict 2PL); aborts restore shadow values;
 * **import relaxation** — a query whose S request hits an update's X
   lock may *read through* the lock (no lock taken): it sees the staged
-  value, charging ``distance(staged, committed)`` against its
+  value, charging ``|staged - committed|`` against its
   OIL/group/TIL hierarchy.  This is the lock-world twin of the paper's
   case 2;
 * **export relaxation** — an update whose X request hits query S locks
-  may write *past* them, charging ``distance(new value, what the
-  readers saw)`` (max over readers, the paper's rule) against its
+  may write *past* them, charging ``|new value - what the
+  readers saw|`` (max over readers, the paper's rule) against its
   OEL/group/TEL.  The twin of case 3;
 * update reads, and write-write conflicts, are never relaxed (the
   paper's consistent-update-ET setting);
@@ -39,7 +39,6 @@ from typing import Mapping
 
 from repro.core.bounds import EpsilonLevel, TransactionBounds
 from repro.core.divergence import export_divergence, import_divergence
-from repro.core.metric import DistanceFunction, absolute_distance
 from repro.engine.database import Database
 from repro.engine.history import HistoryRecorder
 from repro.engine.locks import LockTable
@@ -72,7 +71,6 @@ class TwoPhaseManager:
         self,
         database: Database,
         relaxed: bool = True,
-        distance: DistanceFunction = absolute_distance,
         metrics: MetricsCollector | None = None,
         timestamps: TimestampGenerator | None = None,
         recorder: HistoryRecorder | None = None,
@@ -86,7 +84,6 @@ class TwoPhaseManager:
         self.protocol = "2pl" if relaxed else "2pl-sr"
         #: No snapshot read cache on the lock-based engines.
         self.snapshot = None
-        self.distance = distance
         if recorder is not None:
             self.recorder = recorder
         else:
@@ -187,7 +184,7 @@ class TwoPhaseManager:
             # Import relaxation: read through the writer's X lock.
             present = obj.present_value
             proper = obj.committed_value
-            d = import_divergence(present, proper, self.distance)
+            d = import_divergence(present, proper)
             oil = txn.effective_object_limit(
                 object_id, obj.bounds.import_limit
             )
@@ -231,7 +228,7 @@ class TwoPhaseManager:
                 seen_values = list(obj.query_readers.values()) or [
                     obj.committed_value
                 ]
-                d = export_divergence(value, seen_values, self.distance)
+                d = export_divergence(value, seen_values)
                 oel = txn.effective_object_limit(
                     object_id, obj.bounds.export_limit
                 )

@@ -24,10 +24,6 @@ class SpecificationError(ReproError):
     """
 
 
-class MetricSpaceError(SpecificationError):
-    """A distance function violates the metric-space requirements of ESR."""
-
-
 class TransactionError(ReproError):
     """Base class for errors tied to a particular transaction."""
 

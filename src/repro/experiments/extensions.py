@@ -19,14 +19,7 @@ from repro.experiments.runner import CellProgress, Measurement, measure_many
 from repro.sim.system import SimulationConfig
 from repro.workload.generator import HOT_GROUP, partition_group
 
-__all__ = [
-    "HIERARCHY_SETTINGS",
-    "hierarchy_study",
-    "ext_hierarchy",
-    "CACHE_STUDY_TILS",
-    "cache_study",
-    "ext_cache",
-]
+__all__ = ["hierarchy_study", "ext_hierarchy"]
 
 
 def _limits(spec, hot_limit: float, partition_mult: float):
@@ -46,10 +39,6 @@ def hierarchy_settings(spec) -> dict[str, tuple[tuple[str, float], ...] | None]:
         "medium groups": _limits(spec, 50_000.0, 4.0),
         "tight groups": _limits(spec, 10_000.0, 1.0),
     }
-
-
-#: Backwards-friendly alias used in docs.
-HIERARCHY_SETTINGS = hierarchy_settings
 
 
 def hierarchy_study(
@@ -77,80 +66,6 @@ def hierarchy_study(
         progress=progress,
     )
     return dict(zip(settings, measurements))
-
-
-#: Transaction import limits swept by the snapshot-cache ablation.  Zero
-#: is the SR-equivalent setting (the cache can only serve reads with no
-#: divergence at all); the top of the range lets nearly every read hit.
-CACHE_STUDY_TILS: tuple[float, ...] = (0.0, 10.0, 100.0, 1_000.0, 10_000.0)
-
-
-def cache_study(
-    plan: MeasurementPlan = PAPER_PLAN,
-    mpl: int = BOUND_STUDY_MPL,
-    tils: tuple[float, ...] = CACHE_STUDY_TILS,
-    progress: CellProgress | None = None,
-) -> dict[str, dict[float, Measurement]]:
-    """Ablate the snapshot read cache across the epsilon range.
-
-    For each TIL, the identical workload runs once with the cache off
-    (every read through the engine service station) and once with it on
-    (bounded-staleness reads served in zero simulated time).  Both
-    arms' repetition cells go to the shared worker pool in one batch.
-    """
-    arms = {"cache off": False, "cache on": True}
-    configs = [
-        SimulationConfig(
-            mpl=mpl, til=til, tel=til, snapshot_cache=enabled
-        )
-        for enabled in arms.values()
-        for til in tils
-    ]
-    measurements = measure_many(configs, plan, progress=progress)
-    study: dict[str, dict[float, Measurement]] = {}
-    for index, name in enumerate(arms):
-        start = index * len(tils)
-        study[name] = dict(zip(tils, measurements[start : start + len(tils)]))
-    return study
-
-
-def ext_cache(
-    plan: MeasurementPlan = PAPER_PLAN,
-    study: dict[str, dict[float, Measurement]] | None = None,
-    progress: CellProgress | None = None,
-) -> FigureResult:
-    """Extension figure: throughput vs TIL, snapshot cache off and on.
-
-    The gap between the curves is the serving-layer value of the cache:
-    at TIL 0 it comes only from divergence-free reads (an object with
-    any staleness or pending write falls back to the engine); as the
-    bounds loosen, bounded-staleness reads start to fit as well and the
-    cached arm's advantage grows.
-    """
-    if study is None:
-        study = cache_study(plan, progress=progress)
-    series = tuple(
-        Series(
-            label=f"throughput (tx/s), {name}",
-            x=tuple(sorted(points)),
-            y=tuple(points[til].throughput for til in sorted(points)),
-        )
-        for name, points in study.items()
-    )
-    return FigureResult(
-        figure_id="ext_cache",
-        title="Epsilon snapshot cache: throughput vs inconsistency bound",
-        x_label="transaction import/export limit (TIL = TEL)",
-        y_label="throughput (tx/s)",
-        series=series,
-        notes=(
-            "Extension beyond the paper: bounded-staleness query reads "
-            "served from a divergence-tracked snapshot store in zero "
-            "service time, admission-checked against the full bound "
-            "hierarchy.  The off/on gap quantifies how much serving-path "
-            "work epsilon buys back."
-        ),
-    )
 
 
 def ext_hierarchy(

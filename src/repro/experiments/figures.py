@@ -424,16 +424,6 @@ def _ext_hierarchy(
     return ext_hierarchy(plan, progress=progress)
 
 
-def _ext_cache(
-    plan: MeasurementPlan = PAPER_PLAN,
-    progress: CellProgress | None = None,
-) -> FigureResult:
-    # Imported lazily to avoid a circular import at module load.
-    from repro.experiments.extensions import ext_cache
-
-    return ext_cache(plan, progress=progress)
-
-
 #: Registry used by the CLI and the report generator.
 ALL_FIGURES = {
     "fig7": fig7,
@@ -444,5 +434,4 @@ ALL_FIGURES = {
     "fig12": fig12,
     "fig13": fig13,
     "ext_hierarchy": _ext_hierarchy,
-    "ext_cache": _ext_cache,
 }

@@ -183,25 +183,6 @@ def _runtime_markdown(
         "```",
         "",
     ]
-    # Snapshot-cache tallies ride back in each RunResult (the perf
-    # counters themselves live in the worker processes), so sum them
-    # over every cell that ran with the cache enabled.
-    cache_totals: dict[str, float] = {}
-    for cells in study_cells.values():
-        for cell in cells:
-            if cell.result is not None and cell.result.cache:
-                for name, value in cell.result.cache:
-                    cache_totals[name] = cache_totals.get(name, 0.0) + value
-    if cache_totals:
-        lines.append(
-            "Snapshot read cache (summed over cache-enabled cells): "
-            f"{int(cache_totals.get('hits', 0)):,} hits, "
-            f"{int(cache_totals.get('misses', 0)):,} misses, "
-            f"{int(cache_totals.get('fallbacks', 0)):,} fallbacks, "
-            f"{cache_totals.get('divergence_charged', 0.0):g} "
-            "divergence charged."
-        )
-        lines.append("")
     problems = [
         (study, cell)
         for study, cells in study_cells.items()
@@ -315,24 +296,6 @@ def generate_experiments_markdown(
             "control carries 'a small price'.  Expectation: loose group "
             "limits behave identically to the flat two-level system; "
             "tight ones trade throughput for per-group accuracy.",
-        )
-    )
-    note("running snapshot-cache extension study...")
-    from repro.experiments.extensions import cache_study, ext_cache
-
-    cache = cache_study(plan, progress=cell_progress)
-    study_cells["snapshot-cache extension"] = _study_cells(
-        [m for arm in cache.values() for m in arm.values()]
-    )
-    lines.append(
-        figure_markdown(
-            ext_cache(plan, study=cache),
-            "Not in the paper — an engineering consequence of its model: "
-            "the staleness a snapshot read observes is exactly the "
-            "inconsistency the ledger meters.  Expectation: at TIL 0 the "
-            "cached arm profits only from divergence-free reads; as the "
-            "bounds loosen, bounded-staleness reads fit too and the gap "
-            "grows.",
         )
     )
     note("running engine comparison (TSO / 2PL / MVTO)...")

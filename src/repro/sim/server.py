@@ -59,9 +59,6 @@ class SimServer:
         self._service: tuple[Timeout, ...] = (
             (Timeout(service_time),) if service_time > 0 else ()
         )
-        self._serves_cached_reads = (
-            getattr(manager, "snapshot", None) is not None
-        )
 
     # -- service-station plumbing ---------------------------------------------
 
@@ -87,14 +84,6 @@ class SimServer:
         Use as ``outcome = yield from server.perform_read(txn, oid)``;
         the final outcome is always Granted or Rejected.
         """
-        if self._serves_cached_reads:
-            # Snapshot-cache fast path: a bounded-staleness read skips
-            # the service station entirely — it occupies no service unit
-            # and costs zero simulated time, the DES analogue of
-            # answering outside the engine critical section.
-            cached = self.manager.read_cached(txn, object_id)
-            if cached is not None:
-                return cached
         while True:
             yield from self._admit()
             outcome = self.manager.read(txn, object_id)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.core.bounds import ObjectBounds
-from repro.core.metric import distance_by_name
 from repro.engine.api import create_engine, validate_protocol_options
 from repro.engine.database import Database
 from repro.engine.history import HistoryLog
@@ -45,9 +44,8 @@ class SimulationConfig:
 
     The config is pure data — strings, numbers and frozen dataclasses,
     never callables or closures — so it pickles cleanly into the worker
-    processes of the parallel experiment runner.  Anything behavioural
-    (the distance function, the protocol) is named by a
-    spec string and resolved inside :func:`build_simulation`, i.e. in
+    processes of the parallel experiment runner.  The protocol is named
+    by a string and resolved inside :func:`build_simulation`, i.e. in
     whichever process actually runs the cell.
     """
 
@@ -66,15 +64,6 @@ class SimulationConfig:
     #: plain strict 2PL), or multi-version timestamp ordering
     #: (``"mvto"``, the serializable baseline section 5.1 contrasts).
     protocol: str = "esr"
-    #: Distance-function spec string (see
-    #: :func:`repro.core.metric.distance_by_name`), resolved in the
-    #: worker so the config itself stays picklable.
-    distance: str = "absolute"
-    #: Serve bounded-staleness query reads from the epsilon snapshot
-    #: cache (zero service time, no service unit).  ESR only — the cache
-    #: meters staleness through the inconsistency ledger, which no other
-    #: protocol carries.
-    snapshot_cache: bool = False
     #: Partition the database by object key across this many per-shard
     #: engines (see :class:`repro.engine.sharded.ShardedEngine`).  The
     #: simulator is single-threaded, so this exercises the sharded code
@@ -120,13 +109,11 @@ class SimulationConfig:
             # in repro.engine.api), wrapped into the experiment error.
             validate_protocol_options(
                 self.protocol,
-                snapshot_cache=self.snapshot_cache,
                 shards=self.shards,
                 processes=bool(self.processes),
             )
         except SpecificationError as exc:
             raise ExperimentError(str(exc)) from None
-        distance_by_name(self.distance)  # fail fast on a bad spec
 
     def with_level(self, til: float, tel: float) -> "SimulationConfig":
         return replace(self, til=til, tel=tel)
@@ -143,15 +130,8 @@ class RunResult:
     metrics: MetricsSnapshot
     client_commits: tuple[int, ...]
     server_utilisation: float
-    #: Snapshot-cache tallies as ``(name, value)`` pairs — hits, misses,
-    #: fallbacks, divergence_charged — or None when the cache is off.
-    cache: tuple[tuple[str, float], ...] | None = None
     #: The recorded history (post-warm-up) when the config asked for one.
     history: "HistoryLog | None" = None
-
-    @property
-    def cache_stats(self) -> dict[str, float] | None:
-        return dict(self.cache) if self.cache is not None else None
 
     @property
     def throughput(self) -> float:
@@ -200,12 +180,9 @@ def build_simulation(
         with_groups=group_limits is not None,
     )
     engine = Engine()
-    distance = distance_by_name(config.distance)
     manager = create_engine(
         database,
         config.protocol,
-        distance=distance,
-        snapshot_cache=config.snapshot_cache,
         shards=config.shards,
         processes=config.processes,
         record_history=config.record_history,
@@ -270,7 +247,6 @@ def run_simulation(config: SimulationConfig) -> RunResult:
         engine.run(until=config.duration_ms)
         measured_ms = config.duration_ms - config.warmup_ms
     snapshot = manager.metrics.snapshot()
-    store = getattr(manager, "snapshot", None)
     return RunResult(
         config=config,
         measured_ms=measured_ms,
@@ -279,9 +255,6 @@ def run_simulation(config: SimulationConfig) -> RunResult:
         metrics=snapshot,
         client_commits=tuple(client.committed for client in clients),
         server_utilisation=server.cpu.utilisation(measured_ms, busy_at_start),
-        cache=(
-            tuple(store.stats().items()) if store is not None else None
-        ),
         history=(
             HistoryLog.from_engine(manager)
             if config.record_history

@@ -99,7 +99,6 @@ class TestRegistry:
             "fig12",
             "fig13",
             "ext_hierarchy",
-            "ext_cache",
         }
 
     def test_table1(self):

@@ -213,7 +213,6 @@ class TestParallelExecution:
             mpl=2,
             til=100_000.0,
             tel=10_000.0,
-            distance="scaled:2.0",
             workload=TINY,
             duration_ms=1_000.0,
             warmup_ms=0.0,

@@ -15,7 +15,6 @@ import socket
 
 import pytest
 
-from repro.core.metric import ScaledDistance
 from repro.engine.api import create_engine
 from repro.engine.database import Database
 from repro.engine.metrics import MetricsCollector
@@ -44,14 +43,12 @@ def _forked(manager) -> bool:
     return any(pid is not None for pid in manager.worker_pids())
 
 
-_DISTANCE = ScaledDistance(2.0)
 _METRICS = MetricsCollector()
 
 #: option -> (keywords to pass, what the built engine must show).  Each
 #: option's keywords are its own plus whatever it needs to take effect.
 OBSERVED = {
     "protocol": ({"protocol": "sr"}, lambda m: m.protocol == "sr"),
-    "distance": ({"distance": _DISTANCE}, lambda m: m.distance is _DISTANCE),
     "snapshot_cache": (
         {"snapshot_cache": True},
         lambda m: m.snapshot is not None,

@@ -188,39 +188,7 @@ PINNED_CELLS = {
                      "total_imported": 232956.0,
                      "total_exported": 0.0},
          "client_commits": (19, 14, 12, 12, 17, 17, 13, 12, 22, 18),
-         "server_utilisation": 1.0,
-         "cache": None},
-    ),
-    "snapshot-cache": (
-        SimulationConfig(
-            mpl=8,
-            til=100_000.0,
-            tel=10_000.0,
-            snapshot_cache=True,
-            duration_ms=15_000.0,
-            warmup_ms=2_000.0,
-            seed=5,
-        ),
-        {"measured_ms": 13000.0,
-         "metrics": {"commits": 377,
-                     "commits_query": 98,
-                     "commits_update": 279,
-                     "aborts": 0,
-                     "aborts_by_reason": {},
-                     "reads": 3068,
-                     "writes": 562,
-                     "inconsistent_operations": 138,
-                     "inconsistent_by_case": {"late-read-committed": 138},
-                     "rejected_operations": 0,
-                     "waits": 0,
-                     "total_imported": 404664.0,
-                     "total_exported": 0.0},
-         "client_commits": (45, 45, 48, 45, 53, 48, 46, 47),
-         "server_utilisation": 0.9459303842174667,
-         "cache": (("hits", 2252),
-                   ("misses", 0),
-                   ("fallbacks", 1293),
-                   ("divergence_charged", 445717.0))},
+         "server_utilisation": 1.0},
     ),
     "2pl": (
         SimulationConfig(
@@ -247,8 +215,7 @@ PINNED_CELLS = {
                      "total_imported": 198747.0,
                      "total_exported": 0.0},
          "client_commits": (30, 29, 30, 18, 24, 22),
-         "server_utilisation": 0.8950455934877201,
-         "cache": None},
+         "server_utilisation": 0.8950455934877201},
     ),
     "transactions-per-client": (
         SimulationConfig(
@@ -275,8 +242,7 @@ PINNED_CELLS = {
                      "total_imported": 532679.0,
                      "total_exported": 6646.0},
          "client_commits": (40, 40, 40, 40, 40),
-         "server_utilisation": 0.9197218329395632,
-         "cache": None},
+         "server_utilisation": 0.9197218329395632},
     ),
 }
 
@@ -292,4 +258,3 @@ class TestRunResultsArePinned:
         assert result.aborts == expected["metrics"]["aborts"]
         assert result.client_commits == expected["client_commits"]
         assert result.server_utilisation == expected["server_utilisation"]
-        assert result.cache == expected["cache"]

@@ -11,7 +11,6 @@ from repro.errors import (
     InvalidOperation,
     LanguageError,
     LexError,
-    MetricSpaceError,
     ParseError,
     ProtocolError,
     ReproError,
@@ -29,7 +28,6 @@ class TestHierarchy:
         "exc_type",
         [
             SpecificationError,
-            MetricSpaceError,
             TransactionError,
             TransactionAborted,
             BoundViolation,
@@ -49,7 +47,6 @@ class TestHierarchy:
         assert issubclass(exc_type, ReproError)
 
     def test_key_subtyping(self):
-        assert issubclass(MetricSpaceError, SpecificationError)
         assert issubclass(BoundViolation, TransactionAborted)
         assert issubclass(UnknownObjectError, InvalidOperation)
         assert issubclass(LexError, LanguageError)
