@@ -222,41 +222,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     wait_timeout = (
         args.wait_timeout if args.wait_timeout is not None else WAIT_TIMEOUT_SECONDS
     )
-    if args.use_async:
-        import asyncio
-
-        from repro.net.aioserver import AsyncTransactionServer
-
-        async def serve_async() -> None:
-            server = AsyncTransactionServer(
-                database,
-                protocol=args.protocol,
-                wait_timeout=wait_timeout,
-                snapshot_cache=args.snapshot_cache,
-                shards=args.shards,
-                processes=args.process_shards,
-                record_history=args.record_history,
-            )
-            await server.start(args.host, args.port)
-            _report_process_mode(server.manager)
-            print(
-                f"serving {len(database)} objects on "
-                f"{args.host}:{server.port} (asyncio)"
-            )
-            try:
-                await asyncio.Event().wait()  # until interrupted
-            finally:
-                _save_history(args, server.history)
-                await server.aclose()
-
-        try:
-            asyncio.run(serve_async())
-        except KeyboardInterrupt:
-            print("\nshutting down")
-        return 0
-    server = TransactionServer(
-        database,
-        (args.host, args.port),
+    options = dict(
         protocol=args.protocol,
         wait_timeout=wait_timeout,
         snapshot_cache=args.snapshot_cache,
@@ -264,15 +230,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         processes=args.process_shards,
         record_history=args.record_history,
     )
+    if args.use_async:
+        from repro.net.aioserver import AsyncTransactionServer
+
+        server = AsyncTransactionServer(database, **options)
+        server.start(args.host, args.port)
+        close, suffix = server.close, " (selectors)"
+    else:
+        server = TransactionServer(database, (args.host, args.port), **options)
+        close, suffix = server.server_close, ""
     _report_process_mode(server.manager)
-    print(f"serving {len(database)} objects on {args.host}:{server.port}")
+    print(f"serving {len(database)} objects on {args.host}:{server.port}{suffix}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
         _save_history(args, server.history)
-        server.server_close()
+        close()
     return 0
 
 
@@ -556,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="serve with the asyncio pipelined server instead of the "
+        help="serve with the non-blocking pipelined server instead of the "
         "thread-per-connection server",
     )
     serve.add_argument(
@@ -621,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="target the asyncio pipelined server (default: threaded)",
+        help="target the non-blocking pipelined server (default: threaded)",
     )
     chaos.add_argument("--shards", type=int, default=1)
     chaos.add_argument(

@@ -8,7 +8,9 @@ the bridge to whatever runtime hosts it:
 * the discrete-event simulator subscribes a callback that re-schedules the
   blocked client process;
 * the threaded network server subscribes a callback that notifies the
-  blocked worker thread's condition variable.
+  blocked worker thread's condition variable;
+* the non-blocking network server subscribes a parked entry's ``set``,
+  which queues the operation for its loop to retry.
 
 The registry also exposes the wait-for relation for inspection; since
 waiters are always younger than the transactions they wait for, the
@@ -18,6 +20,7 @@ that invariant in tests.
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from typing import Callable
 
@@ -47,20 +50,15 @@ class WaitRegistry:
         self,
         blocking_transaction: int,
         waiter_transaction: int | None = None,
-        factory: Callable[[], object] | None = None,
-    ):
-        """Create an event set when ``blocking_transaction`` completes.
+    ) -> threading.Event:
+        """A ``threading.Event`` set when ``blocking_transaction`` completes.
 
-        ``factory`` builds the event — anything with ``set()``; the
-        threaded server passes ``threading.Event`` (the default) and the
-        asyncio server passes ``asyncio.Event``, whose ``set`` is safe
-        here because the engine only ever runs on the loop thread.
+        The threaded server's worker threads sleep on it.  The
+        non-blocking server needs no event: it passes a parked entry's
+        ``set`` to :meth:`subscribe`, which appends the entry to its
+        loop's ready list (and wakes the loop when a shard lane fires it).
         """
-        if factory is None:
-            import threading
-
-            factory = threading.Event
-        event = factory()
+        event = threading.Event()
         self.subscribe(
             blocking_transaction,
             event.set,

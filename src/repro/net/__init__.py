@@ -1,9 +1,10 @@
-"""The networked prototype: threaded and asyncio TCP servers + clients.
+"""The networked prototype: threaded and non-blocking TCP servers + clients.
 
 Two transports, one connection core: :class:`TransactionServer` is the
 thread-per-connection fidelity baseline from the paper;
-:class:`AsyncTransactionServer` is the high-throughput asyncio layer
-(pipelining, batched dispatch, write coalescing); what a connection's
+:class:`AsyncTransactionServer` is the high-throughput layer on one
+``selectors`` loop thread (pipelining, inline dispatch per received
+chunk, one send per chunk); what a connection's
 bytes *mean* is :class:`repro.net.requests.Conversation` for both — see
 ``docs/networking.md``.
 """

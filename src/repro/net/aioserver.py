@@ -1,84 +1,44 @@
-"""The high-throughput asyncio transaction server.
+"""The high-throughput non-blocking transaction server.
 
-Same engine, same wire protocol as the threaded server
-(:mod:`repro.net.server`) — literally the same: both are transports
-around :class:`repro.net.requests.Conversation`, which frames the bytes,
-negotiates the codec, answers snapshot-cache reads inline and cleans up
-after a vanished client.  This module is the serving architecture.  The
-engine is single-threaded by design; here the event loop *is* the
-critical section — every
-:class:`~repro.engine.manager.TransactionManager` call happens on the
-loop thread, so the threaded server's global mutex disappears entirely.
-Three throughput levers ride on top:
+A transport around :class:`repro.net.requests.Conversation`, like the
+threaded server (:mod:`repro.net.server`), so the wire contract is the
+same.  One ``selectors`` loop thread serves every connection and is the
+engine's critical section.  A readable socket gets one ``recv``; every
+request in the chunk runs at once and the chunk's responses leave in one
+``send``.  Pipelined requests carry an ``id`` the response echoes, and a
+parked wait delays only its own response.  A parked operation subscribes
+a :class:`_Parked` entry, retried after the event pass once woken and
+aborted by a deadline heap on ``wait_timeout``.  Unsent responses wait in
+a per-connection backlog; with ``max_inflight`` requests parked, on a
+lane or in the backlog, the socket is not read.  A sharded engine locks
+per shard, so its calls run on single-thread FIFO executor lanes, one per
+connection, which wake the loop through a ``socketpair``.
 
-**Pipelining.**  Clients may keep many requests in flight per connection.
-Requests carry a correlation ``id`` which the response echoes; responses
-for *independent* transactions may return out of order (a parked
-strict-ordering wait delays only its own response).  Requests without an
-``id`` are answered untagged, so one-at-a-time clients — including the
-existing :class:`~repro.net.client.RemoteConnection` — work unchanged.
-
-**Batched dispatch.**  The transport layer is a callback-based
-:class:`asyncio.BufferedProtocol` (no stream-reader coroutine per
-connection): ``buffer_updated`` feeds a chunk to the conversation and
-appends the requests it yields to one shared queue, and a single
-dispatcher task drains the *entire* queue per loop tick, running it
-against the manager in one pass — per-request overhead is amortised
-across the batch.  Strict-ordering waits become
-``asyncio.Event`` subscriptions on the wait registry (no blocked
-threads): a parked operation lives in its own small task that retries
-when the blocker completes and aborts on ``wait_timeout``.
-
-**Write coalescing and backpressure.**  Responses are buffered per
-connection and flushed once per batch — many responses, one syscall.
-Backpressure is two-sided: a connection that exceeds its in-flight
-window (``max_inflight`` requests awaiting responses) has its socket
-reads paused until responses drain, and a slow *reader* that backs up
-the transport write buffer (``pause_writing``) causes responses to be
-held in the connection's buffer — itself bounded by the window — until
-the transport drains.
-
-**Off-loop shard executors** (``shards > 1``).  With a sharded engine
-(:class:`~repro.engine.sharded.ShardedEngine`) the loop is no longer the
-critical section — the engine takes its own per-shard locks.  The
-dispatcher then stops running engine calls inline: each request is handed
-to one of ``manager.shards`` single-thread executor *lanes*.  A connection is
-pinned to one lane (round-robin), so a pipelined client's responses keep
-request order — the same wire contract as the threaded server — while
-different connections execute engine calls concurrently across lanes.
-Completion callbacks marshal responses back onto the loop, which
-remains the only thread that touches transports and buffers.  Wait
-events are loop-affine but may be fired from executor threads, so the
-sharded mode wraps them in :class:`_LoopEvent` (``set`` via
-``call_soon_threadsafe``).
-
-Observability: ``repro.perf.counters`` tallies requests batched, batches
-drained, coalesced flushes, backpressure stalls, and ``net_codec_*``
-frame/negotiation counts.
+The module keeps the name ``aioserver`` from when it ran on asyncio: the
+benchmark, the chaos harness and the CLI import it by that name.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
+import heapq
+import itertools
+import logging
+import selectors
+import socket
 import threading
+import time
 from collections import deque
+from contextlib import suppress
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from typing import Any, Callable
 
 from repro import perf
 from repro.engine.api import Engine, create_engine
 from repro.engine.database import Database
 from repro.net.protocol import SUPPORTED_CODECS
 from repro.net.requests import (
-    Conversation,
-    Failure,
-    NeedsWait,
-    abort_on_timeout,
-    attach_id,
-    retry_operation,
-    submit_batch,
-    submit_request,
+    Conversation, Failure, NeedsWait, abort_on_timeout, attach_id,
+    retry_operation, submit_batch, submit_request,
 )
 from repro.net.server import WAIT_TIMEOUT_SECONDS
 
@@ -86,200 +46,65 @@ __all__ = ["AsyncTransactionServer", "AsyncServerThread", "serve_in_thread"]
 
 #: Per-connection cap on requests accepted but not yet answered.
 DEFAULT_MAX_INFLIGHT = 128
+#: Bytes asked of one ``recv`` — below glibc's mmap threshold, so the
+#: buffer comes from the heap rather than freshly mapped pages.
+RECV_SIZE = 65536
+
+_READ = selectors.EVENT_READ
+_WRITE = selectors.EVENT_WRITE
+_log = logging.getLogger(__name__)
 
 
-class _LoopEvent:
-    """An awaitable event whose ``set()`` is safe from any thread.
+class _Parked:
+    """One parked operation.  The wait registry calls :meth:`set` (from a
+    lane thread in sharded mode); :meth:`take` empties it, once."""
 
-    The sharded engine fires wait-registry callbacks from whichever
-    executor thread completes the blocking transaction; a plain
-    ``asyncio.Event.set`` from a foreign thread races the loop.  This
-    wrapper marshals the set through ``call_soon_threadsafe`` while
-    ``wait()`` stays a normal loop-side await.
-    """
+    __slots__ = ("server", "conn", "message", "pending")
 
-    __slots__ = ("_event", "_loop")
-
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._event = asyncio.Event()
-        self._loop = loop
+    def __init__(self, server, conn, message, pending):
+        self.server, self.conn, self.message, self.pending = server, conn, message, pending
 
     def set(self) -> None:
-        self._loop.call_soon_threadsafe(self._event.set)
-
-    async def wait(self) -> None:
-        await self._event.wait()
-
-
-class _Connection(asyncio.BufferedProtocol):
-    """One client connection's transport: a receive buffer in, a response
-    buffer out, the in-flight window between them.  What the bytes mean
-    is the :class:`~repro.net.requests.Conversation`'s business."""
-
-    __slots__ = (
-        "server",
-        "transport",
-        "conv",
-        "sessions",
-        "out",
-        "inflight",
-        "read_paused",
-        "write_paused",
-        "flush_pending",
-        "closing",
-        "closed",
-        "lane",
-        "recv_view",
-    )
-
-    def __init__(self, server: "AsyncTransactionServer"):
-        self.server = server
-        self.transport: asyncio.Transport | None = None
-        #: Receive buffer the transport reads into.  A plain Protocol
-        #: makes the transport allocate (and shrink, and free) a 256 KiB
-        #: bytes object per recv; at that size glibc keeps mapping and
-        #: trimming memory, which cost a steady-state server a tenth of
-        #: its throughput in page faults.
-        self.recv_view = memoryview(bytearray(65536))
-        self.conv = Conversation(server.manager, server.codecs)
-        self.sessions = self.conv.sessions  # the same map, one hop nearer
-        self.out: list[bytes] = []
-        self.inflight = 0
-        self.read_paused = False
-        self.write_paused = False
-        self.flush_pending = False
-        self.closing = False  # error reply buffered; close once flushed
-        self.closed = False
-        #: Off-loop shard-executor mode: the FIFO lane serving this
-        #: connection's engine calls (assigned round-robin on first use).
-        self.lane: ThreadPoolExecutor | None = None
-
-    # -- transport callbacks ---------------------------------------------------
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport
-        self.server._connections.add(self)
-
-    def connection_lost(self, exc: Exception | None) -> None:
-        self.closed = True
-        self.server._connections.discard(self)
-        self.conv.abandon()
-
-    def pause_writing(self) -> None:
-        # Slow reader: hold responses in self.out (bounded by the
-        # in-flight window) instead of growing the transport buffer.
-        self.write_paused = True
-
-    def resume_writing(self) -> None:
-        self.write_paused = False
-        self.flush_now()
-
-    def eof_received(self) -> bool | None:
-        failure = self.conv.eof()
-        if failure is not None:
-            self.server._queue.append((self, failure))
-            self.server._queue_ready.set()
-        # Keep the transport open while an error response is still in
-        # flight through the dispatch queue; flush_now() closes it.
-        return self.conv.failed
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self.recv_view
-
-    def buffer_updated(self, nbytes: int) -> None:
         server = self.server
-        queue = server._queue
-        queued = 0
-        answered_inline = False
-        for item in self.conv.feed(bytes(self.recv_view[:nbytes])):
-            if type(item) is dict:
-                queue.append((self, item))
-                queued += 1
-            elif type(item) is bytes:
-                # Answered by the conversation (hello, a cache hit):
-                # never queued, never counted against the window.
-                self.out.append(item)
-                answered_inline = True
-            else:
-                # The final Failure: the dispatcher answers it in order,
-                # after the requests queued before it.
-                queue.append((self, item))
-                server._queue_ready.set()
-        self.inflight += queued
-        if queued:
-            server._queue_ready.set()
-        if self.inflight >= server.max_inflight and not self.read_paused:
-            # In-flight window full: stop reading until responses drain.
-            perf.counters.net_backpressure_stalls += 1
-            self.read_paused = True
-            self.transport.pause_reading()
-        if answered_inline:
-            # The dispatcher only flushes connections it answers, so the
-            # inline responses need their own (idempotent, coalesced)
-            # flush — e.g. when nothing was queued, or every queued
-            # request parked on a wait.
-            self.schedule_flush()
+        server._ready.append(self)
+        if server._lanes is not None:
+            server._wake()
 
-    # -- response path ---------------------------------------------------------
+    def take(self) -> tuple:
+        taken = self.conn, self.message, self.pending
+        if self.conn is not None:
+            self.conn = self.message = self.pending = None
+            self.server._parked_live -= 1
+        return taken
 
-    def enqueue(self, response: dict[str, Any]) -> None:
-        """Buffer one response; reopens the read window if it was full."""
-        if self.inflight > 0:
-            self.inflight -= 1
-        if self.read_paused and self.inflight < self.server.max_inflight:
-            self.read_paused = False
-            if not self.closed:
-                self.transport.resume_reading()
-        if self.closed:
-            return
-        self.out.append(self.conv.codec.encode_response(response))
 
-    def flush_now(self) -> None:
-        """Write the buffered responses in one transport write."""
-        self.flush_pending = False
-        if self.closed or self.write_paused or not self.out:
-            return
-        if len(self.out) > 1:
-            perf.counters.net_flushes_coalesced += 1
-        payload = b"".join(self.out)
-        self.out.clear()
-        self.transport.write(payload)
-        if self.closing:
-            self.closed = True
-            self.transport.close()
+class _Connection:
+    """One client socket, its conversation and what it is still owed."""
 
-    def schedule_flush(self) -> None:
-        if self.flush_pending or self.closed:
-            return
-        self.flush_pending = True
-        self.server._loop.call_soon(self.flush_now)
+    __slots__ = ("sock", "conv", "sessions", "backlog", "pending", "events",
+                 "failure", "closing", "closed", "lane")
+
+    def __init__(self, sock: socket.socket, conv: Conversation, lane):
+        self.sock = sock
+        self.conv = conv
+        self.sessions = conv.sessions  # the same map, one hop nearer
+        self.backlog: list[bytes] = []  # unsent responses, one entry each
+        self.pending = 0  # requests parked on a wait or on the lane
+        self.events = 0  # what the selector watches the socket for
+        #: The framing Failure, answered once ``pending`` reaches zero.
+        self.failure: Failure | None = None
+        self.closing = self.closed = False  # closing: read no more, then close
+        self.lane: ThreadPoolExecutor | None = lane  # sharded mode only
 
 
 class AsyncTransactionServer:
-    """An asyncio TCP transaction server around one database.
+    """A non-blocking TCP server around one database: ``start()``, then
+    ``serve_forever()`` until ``close()`` from any thread.  Keywords beyond
+    the server's own are engine options for ``create_engine``."""
 
-    Usage (on a running loop)::
-
-        server = AsyncTransactionServer(database, wait_timeout=5.0)
-        await server.start(host, port)
-        ...
-        await server.aclose()
-
-    From synchronous code use :func:`serve_in_thread`, which runs the
-    whole server on a dedicated loop thread.  Every keyword beyond the
-    server's own is an engine option for
-    :func:`~repro.engine.api.create_engine`.
-    """
-
-    def __init__(
-        self,
-        database: Database,
-        *,
-        wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-        **engine_options: Any,
-    ):
+    def __init__(self, database: Database, *, wait_timeout: float = WAIT_TIMEOUT_SECONDS,
+                 max_inflight: int = DEFAULT_MAX_INFLIGHT,
+                 codecs: tuple[str, ...] | None = SUPPORTED_CODECS, **engine_options: Any):
         self.manager: Engine = create_engine(database, **engine_options)
         #: Upper bound on one strict-ordering wait, in seconds.
         self.wait_timeout = wait_timeout
@@ -287,313 +112,322 @@ class AsyncTransactionServer:
         #: Codecs offered to ``hello`` negotiation; None disables it
         #: (the connection then behaves like a pre-negotiation server).
         self.codecs = codecs
-        self._queue: deque[tuple[_Connection, dict[str, Any] | Failure]] = deque()
         self._connections: set[_Connection] = set()
-        self._queue_ready: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._dispatcher: asyncio.Task | None = None
-        self._waiters: set[asyncio.Task] = set()
-        # Off-loop dispatch lanes (sharded mode only): one single-thread
-        # executor per shard; each connection is pinned to one lane
-        # (round-robin) so its responses keep request order while
-        # different connections run engine calls concurrently.  None
-        # means classic mode: the loop itself is the engine critical
-        # section.
+        self._selector: selectors.BaseSelector | None = None
+        self._listener: socket.socket | None = None
+        self._wake_r = self._wake_w = None
+        self._ready: deque[_Parked] = deque()  # woken, to retry
+        #: Lane results: (connection, messages, results or None on error).
+        self._done: deque[tuple[_Connection, list, list | None]] = deque()
+        self._deadlines: list[tuple[float, int, _Parked]] = []
+        self._seq = itertools.count()
+        self._parked_live = 0  # entries not yet taken
+        self._stopping = self._closed = False
+        self._serving = threading.Event()
+        self._served = threading.Event()
+        self._lanes: list[ThreadPoolExecutor] | None = None  # classic mode
         if getattr(self.manager, "thread_safe", False):
-            self._lanes: list[ThreadPoolExecutor] | None = [
-                ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"aio-shard-{i}"
-                )
-                for i in range(self.manager.shards)
-            ]
-        else:
-            self._lanes = None
-        self._lane_rr = 0
+            self._lanes = [ThreadPoolExecutor(1, f"aio-shard-{i}")
+                           for i in range(self.manager.shards)]
+        self._next_lane = itertools.cycle(self._lanes or [None])  # round-robin
 
     @property
     def port(self) -> int:
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
+        assert self._listener is not None, "server not started"
+        return self._listener.getsockname()[1]
 
-    # -- lifecycle -------------------------------------------------------------
+    def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind and listen; :meth:`serve_forever` then runs the loop."""
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family, backlog=128)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_r, self._wake_w):
+            sock.setblocking(False)
+        self._selector.register(self._listener, _READ)
+        self._selector.register(self._wake_r, _READ)
 
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._queue_ready = asyncio.Event()
-        self._server = await self._loop.create_server(
-            lambda: _Connection(self), host, port
-        )
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+    def serve_forever(self) -> None:
+        """Run the loop on the calling thread until :meth:`close`."""
+        self._serving.set()
+        try:
+            self._loop()
+        finally:
+            self._served.set()
 
-    async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    def close(self) -> None:
+        """Stop and await the loop; close connections, lanes and engine."""
+        if self._closed:
+            return
+        self._closed = self._stopping = True
+        if self._serving.is_set():
+            self._wake()
+            self._served.wait()
+        # Joined, so no lane outlives its server; queued work is dropped.
+        for lane in self._lanes or ():
+            lane.shutdown(wait=True, cancel_futures=True)
         for conn in list(self._connections):
-            conn.flush_now()
-            if conn.transport is not None:
-                conn.transport.close()
-        for task in (self._dispatcher, *self._waiters):
-            if task is not None:
-                task.cancel()
-        await asyncio.gather(
-            *(t for t in (self._dispatcher, *self._waiters) if t is not None),
-            return_exceptions=True,
-        )
-        if self._lanes is not None:
-            # Join the lane threads: wait=False leaked one thread per
-            # shard per serve/close cycle (an in-flight engine call kept
-            # its worker alive past aclose, and repeated cycles in one
-            # process accumulated them).  The lanes are single-thread
-            # executors whose queued work is cancelled, so the join is
-            # bounded by the one engine call still running.
-            for lane in self._lanes:
-                lane.shutdown(wait=True, cancel_futures=True)
-        close = getattr(self.manager, "close", None)
-        if close is not None:
-            close()
+            conn.lane = None  # the lanes are joined: clean up right here
+            self._close(conn)
+        if self._selector is not None:  # started
+            self._selector.close()
+            for sock in (self._listener, self._wake_r, self._wake_w):
+                sock.close()
+        getattr(self.manager, "close", lambda: None)()
 
     def history(self) -> "HistoryLog":
         """The recorded history so far (empty when recording is off)."""
         from repro.engine.history import HistoryLog
-
         return HistoryLog.from_engine(self.manager)
 
-    # -- batched dispatch ------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        counters = perf.counters
-        queue = self._queue
-        ready = self._queue_ready
-        manager = self.manager
-        while True:
-            await ready.wait()
-            ready.clear()
-            if not queue:
-                continue
-            # Drain in place — readers hold a reference to this deque.
-            batch = list(queue)
-            queue.clear()
-            counters.net_batches_drained += 1
-            counters.net_requests_batched += len(batch)
-            touched: dict[int, _Connection] = {}
-            # Off-loop mode groups each drained tick's messages by
-            # connection and pays ONE executor hop per group (instead of
-            # one per message): the lane runs submit_batch over the
-            # group, and a process-sharded engine underneath coalesces
-            # the concurrent lanes' shard RPCs into shared batch frames.
-            # Per-connection request order is preserved — a group keeps
-            # its messages in arrival order and every group of one
-            # connection lands on that connection's FIFO lane.
-            groups: dict[int, tuple[_Connection, list[dict[str, Any]]]] = {}
-            for conn, message in batch:
-                if type(message) is Failure:
-                    # Flush this connection's pending group first so the
-                    # failure reply keeps its position in the lane order.
-                    pending = groups.pop(id(conn), None)
-                    if pending is not None:
-                        self._submit_group(*pending)
-                    conn.out.append(
-                        conn.conv.codec.encode_response(message.response())
-                    )
-                    conn.closing = True
-                    touched[id(conn)] = conn
+    def _loop(self) -> None:
+        select = self._selector.select
+        listener = self._listener
+        ready, done, deadlines = self._ready, self._done, self._deadlines
+        while not self._stopping:
+            timeout = None
+            if ready or done or deadlines:
+                timeout = 0.0 if ready or done else max(deadlines[0][0] - time.monotonic(), 0)
+            for key, mask in select(timeout):
+                conn = key.data
+                if conn is None:
+                    if key.fileobj is listener:
+                        self._accept()
+                    else:  # the wake-up pipe
+                        with suppress(OSError):
+                            self._wake_r.recv(4096)
                     continue
-                if self._lanes is not None:
-                    group = groups.get(id(conn))
-                    if group is None:
-                        groups[id(conn)] = (conn, [message])
-                    else:
-                        group[1].append(message)
+                try:
+                    if mask & _WRITE and conn.backlog:
+                        backlog, conn.backlog = conn.backlog, []
+                        self._write(conn, backlog)
+                        self._flush(conn, [])
+                    if mask & _READ and not conn.closed:
+                        self._read(conn)
+                except Exception:
+                    self._crash(conn)
+            while done:
+                conn, messages, results = done.popleft()
+                if conn.closed:
                     continue
-                result = submit_request(manager, message, conn.sessions)
-                if type(result) is NeedsWait:
-                    # Subscribe *now*, synchronously — the blocker could
-                    # complete during any await between decision and
-                    # subscription, and the wake-up would be missed.
-                    event = self._subscribe(result)
-                    self._spawn_waiter(conn, message, result, event)
-                else:
-                    conn.conv.answered(message)
-                    if "id" in message:
-                        result["id"] = message["id"]
-                    conn.enqueue(result)
-                    touched[id(conn)] = conn
-            for conn, messages in groups.values():
-                self._submit_group(conn, messages)
-            for conn in touched.values():
-                conn.flush_now()
+                if results is None:
+                    self._close(conn)  # the lane has logged why
+                    continue
+                try:
+                    self._complete(conn, messages, results)
+                except Exception:
+                    self._crash(conn)
+            while ready:
+                self._resume(ready.popleft(), retry_operation)
+            if deadlines:
+                now = time.monotonic()
+                while deadlines and deadlines[0][0] <= now:
+                    self._resume(heapq.heappop(deadlines)[2], abort_on_timeout)
 
-    def _submit_group(
-        self, conn: _Connection, messages: list[dict[str, Any]]
-    ) -> None:
-        """One executor hop for one connection's drained-tick messages."""
-        future = self._loop.run_in_executor(
-            self._lane_for(conn),
-            submit_batch,
-            self.manager,
-            messages,
-            conn.sessions,
-        )
-        future.add_done_callback(
-            functools.partial(self._offloop_batch_done, conn, messages)
-        )
-
-    def _lane_for(self, conn: _Connection) -> ThreadPoolExecutor:
-        """Pick the FIFO lane for one request: one lane per connection,
-        assigned round-robin on first use.
-
-        Routing by connection (rather than by transaction id) keeps the
-        wire contract intact — a pipelined client receives its responses
-        strictly in request order, the same as on the threaded server —
-        because every request of one connection shares one FIFO lane.
-        Per-transaction ordering follows for free: a transaction lives
-        on exactly one connection.  Parallelism comes from concurrent
-        connections landing on different lanes, which is how the load
-        arrives in practice.
-        """
-        assert self._lanes is not None
-        if conn.lane is None:
-            conn.lane = self._lanes[self._lane_rr % len(self._lanes)]
-            self._lane_rr += 1
-        return conn.lane
-
-    def _offloop_batch_done(
-        self,
-        conn: _Connection,
-        messages: list[dict[str, Any]],
-        future: "asyncio.Future[list[dict[str, Any] | NeedsWait]]",
-    ) -> None:
-        """Loop-side completion of one connection's off-loop batch."""
-        if future.cancelled():
+    def _accept(self) -> None:
+        try:  # a peer may reset before the options are set
+            sock, _address = self._listener.accept()
+            sock.setblocking(False)
+            # Small responses must not wait for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
             return
-        results = future.result()
-        flush = False
+        conn = _Connection(sock, Conversation(self.manager, self.codecs), next(self._next_lane))
+        self._connections.add(conn)
+        self._flush(conn, [])
+
+    def _read(self, conn: _Connection) -> None:
+        """One ``recv``; every request in it dispatched; one ``send``."""
+        try:
+            data = conn.sock.recv(RECV_SIZE)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            self._close(conn)
+            return
+        conv = conn.conv
+        items: Any = conv.feed(data) if data else [conv.eof()]
+        if not data and items[0] is None:  # end of stream: send what is
+            conn.closing = True  # buffered, then close
+            self._flush(conn, [])
+            return
+        out: list[bytes] = []
+        group: list[dict[str, Any]] = []
+        lanes, manager, sessions = self._lanes, self.manager, conn.sessions
+        dispatched = 0
+        for item in items:
+            kind = type(item)
+            if kind is dict:
+                dispatched += 1
+                if lanes is not None:
+                    group.append(item)
+                    continue
+                result = submit_request(manager, item, sessions)
+                if type(result) is NeedsWait:
+                    conn.pending += 1
+                    self._park(conn, item, result)
+                    continue
+                conv.answered(item)
+                if "id" in item:
+                    result["id"] = item["id"]
+                out.append(conv.codec.encode_response(result))
+            elif kind is bytes:  # answered by the conversation
+                out.append(item)
+            else:  # the final Failure: answered after all before it
+                conn.failure, conn.closing = item, True
+        if dispatched:
+            perf.counters.net_batches_drained += 1
+            perf.counters.net_requests_batched += dispatched
+        if group:
+            conn.pending += len(group)
+            self._run(conn, group, lambda: submit_batch(manager, group, sessions))
+        self._flush(conn, out)
+
+    def _complete(self, conn: _Connection, messages: list, results: list) -> None:
+        """Answer, or park again, requests that left the read path."""
+        conv = conn.conv
+        out = []
         for message, result in zip(messages, results):
             if type(result) is NeedsWait:
-                event = self._subscribe(result)
-                self._spawn_waiter(conn, message, result, event)
+                self._park(conn, message, result)
                 continue
-            conn.conv.answered(message)
-            conn.enqueue(attach_id(result, message))
-            flush = True
-        if flush:
-            conn.schedule_flush()
+            conn.pending -= 1
+            conv.answered(message)
+            out.append(conv.codec.encode_response(attach_id(result, message)))
+        self._flush(conn, out)
 
-    def _subscribe(self, pending: NeedsWait) -> Any:
-        # In sharded mode the registry fires callbacks from executor
-        # threads, so the event's set() must marshal onto the loop.
-        factory = (
-            (lambda: _LoopEvent(self._loop))
-            if self._lanes is not None
-            else asyncio.Event
-        )
-        return self.manager.waits.wait_event(
-            pending.blocking_transaction,
-            waiter_transaction=pending.txn.transaction_id,
-            factory=factory,
-        )
+    def _flush(self, conn: _Connection, out: list[bytes]) -> None:
+        """Send ``out`` behind the backlog; then watch, or close, the socket."""
+        if conn.failure is not None and not conn.pending:
+            out.append(conn.conv.codec.encode_response(conn.failure.response()))
+            conn.failure = None
+        if conn.backlog:
+            conn.backlog.extend(out)
+        elif out:
+            self._write(conn, out)
+        if conn.closed:
+            return
+        if conn.closing and conn.failure is None and not conn.backlog:
+            self._close(conn)
+            return
+        want = 0
+        if not conn.closing:
+            if conn.pending + len(conn.backlog) < self.max_inflight:
+                want = _READ
+            elif conn.events & _READ:
+                # In-flight window full: stop reading until it drains.
+                perf.counters.net_backpressure_stalls += 1
+        if conn.backlog:
+            want |= _WRITE
+        if want != conn.events:
+            if not conn.events:
+                self._selector.register(conn.sock, want, conn)
+            elif not want:
+                self._selector.unregister(conn.sock)
+            else:
+                self._selector.modify(conn.sock, want, conn)
+            conn.events = want
 
-    def _spawn_waiter(
-        self,
-        conn: _Connection,
-        message: dict[str, Any],
-        pending: NeedsWait,
-        event: Any,
-    ) -> None:
-        task = asyncio.create_task(
-            self._wait_and_retry(conn, message, pending, event)
-        )
-        self._waiters.add(task)
-        task.add_done_callback(self._waiters.discard)
+    def _write(self, conn: _Connection, chunks: list[bytes]) -> None:
+        """One ``send``; what the kernel leaves goes to the backlog."""
+        if len(chunks) > 1:
+            perf.counters.net_flushes_coalesced += 1
+        payload = b"".join(chunks) if len(chunks) > 1 else chunks[0]
+        try:
+            sent = conn.sock.send(payload)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:
+            self._close(conn)
+            return
+        if sent < len(payload):
+            for chunk in chunks:
+                if sent >= len(chunk):
+                    sent -= len(chunk)
+                else:
+                    conn.backlog.append(chunk[sent:])
+                    sent = 0
 
-    async def _wait_and_retry(
-        self,
-        conn: _Connection,
-        message: dict[str, Any],
-        pending: NeedsWait,
-        event: Any,
-    ) -> None:
-        """One parked operation: wake on the blocker, retry, or time out."""
-        while True:
+    def _close(self, conn: _Connection) -> None:
+        if conn.closed:
+            return
+        conn.closed = True
+        self._connections.discard(conn)
+        if conn.events:
+            self._selector.unregister(conn.sock)
+            conn.events = 0
+        conn.sock.close()
+        if conn.lane is None:
+            conn.conv.abandon()
+        else:  # behind the requests still on the lane
+            self._run(conn, [], conn.conv.abandon)
+
+    def _crash(self, conn: _Connection) -> None:
+        _log.exception("request handling failed; closing the connection")
+        self._close(conn)
+
+    def _park(self, conn: _Connection, message: dict, pending: NeedsWait) -> None:
+        parked = _Parked(self, conn, message, pending)
+        self._parked_live += 1
+        heap = self._deadlines
+        if len(heap) > 64 and len(heap) > 2 * self._parked_live:
+            # Mostly shells of woken entries: drop them in one pass.
+            heap[:] = [entry for entry in heap if entry[2].conn is not None]
+            heapq.heapify(heap)
+        deadline = time.monotonic() + self.wait_timeout
+        heapq.heappush(heap, (deadline, next(self._seq), parked))
+        self.manager.waits.subscribe(pending.blocking_transaction, parked.set,
+                                     waiter_transaction=pending.txn.transaction_id)
+
+    def _resume(self, parked: _Parked, call: Callable) -> None:
+        """Retry (or time out) a parked operation, unless done already."""
+        conn, message, pending = parked.take()
+        if conn is not None and not conn.closed:
+            manager = self.manager
+            self._run(conn, [message], lambda: [call(manager, pending)])
+
+    def _run(self, conn: _Connection, messages: list, job: Callable) -> None:
+        """Run ``job`` here or on the connection's lane, and answer it."""
+        if conn.lane is None:
             try:
-                await asyncio.wait_for(event.wait(), self.wait_timeout)
-            except asyncio.TimeoutError:
-                response = await self._run_engine_call(
-                    conn, message, abort_on_timeout, pending
-                )
-                break
-            result = await self._run_engine_call(
-                conn, message, retry_operation, pending
-            )
-            if type(result) is NeedsWait:
-                event = self._subscribe(result)
-                continue
-            response = result
-            break
-        conn.conv.answered(message)
-        conn.enqueue(attach_id(response, message))
-        conn.schedule_flush()
+                self._complete(conn, messages, job())
+            except Exception:
+                self._crash(conn)
+            return
 
-    async def _run_engine_call(
-        self, conn: _Connection, message: dict[str, Any], fn, pending: NeedsWait
-    ):
-        """Run a retry/abort engine call where this server runs them: on
-        the connection's lane in sharded mode, inline on the loop (the
-        classic critical section) otherwise."""
-        if self._lanes is None:
-            return fn(self.manager, pending)
-        return await self._loop.run_in_executor(
-            self._lane_for(conn), fn, self.manager, pending
-        )
+        def run() -> None:
+            try:
+                results = job()
+            except Exception:
+                _log.exception("request handling failed on a shard lane")
+                results = None
+            self._done.append((conn, messages, results))
+            self._wake()
 
+        conn.lane.submit(run)
 
-# -- running on a background thread -------------------------------------------
+    def _wake(self) -> None:
+        with suppress(OSError):  # a full pipe: the loop is awake anyway
+            self._wake_w.send(b"\0")
 
 
 class AsyncServerThread:
-    """An :class:`AsyncTransactionServer` on its own loop thread.
-
-    The synchronous counterpart of :func:`repro.net.server.serve_forever`:
-    construction blocks until the server is bound, ``port`` is readable
-    from any thread, and :meth:`shutdown` stops the loop and joins the
-    thread.  Client code (tests, the chaos harness, the CLI)
-    talks to it over TCP exactly as to the threaded server.
-    """
+    """An :class:`AsyncTransactionServer` on its own loop thread, bound
+    when construction returns; :meth:`shutdown` stops, joins and closes
+    it.  The counterpart of :func:`repro.net.server.serve_forever`."""
 
     #: The event loop the server runs on (reported by benchmarks).
-    loop_implementation = "asyncio"
+    loop_implementation = "selectors"
 
     def __init__(self, server: AsyncTransactionServer, host: str, port: int):
         self.server = server
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, args=(host, port), daemon=True
-        )
+        try:
+            server.start(host, port)
+        except BaseException:
+            server.close()
+            raise
+        self._thread = threading.Thread(target=server.serve_forever, daemon=True)
         self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    def _run(self, host: str, port: int) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            try:
-                await self.server.start(host, port)
-            except BaseException as exc:  # bind failures surface in __init__
-                self._startup_error = exc
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop.wait()
-            await self.server.aclose()
-
-        asyncio.run(main())
 
     @property
     def port(self) -> int:
@@ -604,31 +438,13 @@ class AsyncServerThread:
         return self.server.manager
 
     def shutdown(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
+        self.server.close()
         self._thread.join(timeout=10.0)
 
 
 def serve_in_thread(
-    database: Database,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    wait_timeout: float = WAIT_TIMEOUT_SECONDS,
-    max_inflight: int = DEFAULT_MAX_INFLIGHT,
-    codecs: tuple[str, ...] | None = SUPPORTED_CODECS,
-    **engine_options: Any,
+    database: Database, host: str = "127.0.0.1", port: int = 0, **options: Any
 ) -> AsyncServerThread:
-    """Start an async server on a background loop thread (bound and live).
-
-    Keywords beyond the server's own are engine options for
-    :func:`~repro.engine.api.create_engine`.
-    """
-    server = AsyncTransactionServer(
-        database,
-        wait_timeout=wait_timeout,
-        max_inflight=max_inflight,
-        codecs=codecs,
-        **engine_options,
-    )
-    return AsyncServerThread(server, host, port)
+    """Start a server on a background loop thread (bound and live).
+    ``options`` are :class:`AsyncTransactionServer`'s keywords."""
+    return AsyncServerThread(AsyncTransactionServer(database, **options), host, port)

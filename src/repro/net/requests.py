@@ -1,7 +1,7 @@
 """Everything about a client connection that is not I/O.
 
-The threaded server (:mod:`repro.net.server`) and the asyncio server
-(:mod:`repro.net.aioserver`) are *transports*: they move bytes, decide
+The threaded server (:mod:`repro.net.server`) and the non-blocking
+server (:mod:`repro.net.aioserver`) are *transports*: they move bytes, decide
 when to run a request and how to wait.  What the bytes mean is decided
 here, once, for both:
 
@@ -23,12 +23,12 @@ here, once, for both:
 *Waiting* is the transport's: the engine answers
 :class:`~repro.engine.results.MustWait` synchronously, and each runtime
 parks the blocked operation its own way (a ``threading.Event`` on a
-worker thread, an ``asyncio.Event`` on the loop).
+worker thread, an entry on the ``selectors`` loop's ready list).
 
 Callers must serialise :func:`submit_request`, :func:`retry_operation`,
 :func:`abort_on_timeout` and :meth:`Conversation.abandon` against the
-engine (the threaded server's mutex, or the asyncio server's
-single-threaded loop) — unless the engine declares ``thread_safe`` (the
+engine (the threaded server's mutex, or the non-blocking server's
+single loop thread) — unless the engine declares ``thread_safe`` (the
 sharded composite), which takes its own per-shard locks internally.
 :meth:`Conversation.feed` needs no such care: the only engine call it
 makes is the snapshot cache's read of immutable published records.
@@ -332,9 +332,9 @@ def submit_batch(
 ) -> list[dict[str, Any] | NeedsWait]:
     """Execute several requests of one connection, in order.
 
-    The asyncio server's off-loop dispatch hands a whole drained tick's
-    worth of one connection's messages to the executor lane in a single
-    hop, so the per-submission thread handoff amortises across the
+    The non-blocking server hands one received chunk's worth of a
+    connection's messages to its executor lane in a single hop, so the
+    per-submission thread handoff amortises across the
     group; a process-sharded engine underneath additionally coalesces
     the group's shard RPCs into shared batch frames.  Semantics are
     exactly ``[submit_request(m) for m in messages]`` — one reply per

@@ -47,11 +47,12 @@ class PerfCounters:
     ``ledger_rejections``        walks that ended in a bound violation
     ``conflict_cases``           inconsistent operations admitted, tallied by
                                  ESR relaxation case (``late-write``, …)
-    ``net_requests_batched``     requests the asyncio server executed from a
-                                 multi-request batch (amortised dispatch)
-    ``net_batches_drained``      dispatch-loop ticks that drained the queue
-    ``net_flushes_coalesced``    connection flushes that wrote more than one
-                                 buffered response in a single syscall
+    ``net_requests_batched``     requests the non-blocking server dispatched
+                                 from received chunks
+    ``net_batches_drained``      received chunks that carried at least one
+                                 request to dispatch
+    ``net_flushes_coalesced``    sends that wrote more than one response in
+                                 a single syscall
     ``net_backpressure_stalls``  reads paused because a connection hit its
                                  in-flight window
     ``cache_hits``               query reads served from the snapshot cache

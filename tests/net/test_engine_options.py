@@ -9,7 +9,6 @@ one knows is a ``TypeError`` before any port is bound.
 
 from __future__ import annotations
 
-import asyncio
 import inspect
 import socket
 
@@ -84,7 +83,7 @@ def _build(host: str, **options):
         return server.manager, lambda: (server.shutdown(), server.server_close())
     if host == "AsyncTransactionServer":
         server = AsyncTransactionServer(database, **options)
-        return server.manager, lambda: asyncio.run(server.aclose())
+        return server.manager, server.close
     if host == "serve_in_thread":
         handle = serve_in_thread(database, **options)
         return handle.manager, handle.shutdown

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import _COMMANDS, build_parser, main
 
 
@@ -176,3 +184,36 @@ class TestServeAndRunTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "committed 3 transactions" in out
+
+
+class TestServeAsync:
+    def test_serves_in_the_foreground_until_interrupted(self):
+        """``serve --async`` runs the loop on the main thread: it answers
+        over TCP, and Ctrl-C stops it cleanly."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--async", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = ""
+            while not banner.startswith("serving"):
+                banner = proc.stdout.readline()
+                assert banner, "the server exited before serving"
+            assert banner.rstrip().endswith("(selectors)")
+            port = int(banner.split()[-2].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+                sock.sendall(b'{"op": "time"}\n')
+                reply = json.loads(sock.makefile().readline())
+            assert reply["ok"] is True and reply["time"] > 0
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30.0)
+            assert proc.returncode == 0
+            assert "shutting down" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
