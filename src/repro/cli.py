@@ -7,7 +7,6 @@ Subcommands::
     repro report [--out EXPERIMENTS.md]   regenerate all figures to markdown
     repro sweep --mpl 4 --til 1e5 ...     one simulation run, metrics printed
     repro sweep ... --profile             same, under cProfile + perf counters
-    repro bench-hotpath [--update]        hot-path micro suite vs. baseline
     repro gen-workload out.trace ...      write a client trace file
     repro serve [--async] [--port N] ...  start the networked prototype
     repro run-trace out.trace --port N    replay a trace against a server
@@ -158,44 +157,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ("server utilisation", f"{result.server_utilisation:.2f}"),
     ]
     print(format_table(["metric", "value"], rows))
-    return 0
-
-
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    from repro.experiments import hotpath
-
-    repeats = 1 if args.quick else args.repeats
-    smoke_repeats = 1 if args.quick else 3
-    print(f"running hot-path suite (best of {repeats})...")
-    report = hotpath.run_suite(
-        repeats=repeats, smoke_repeats=smoke_repeats, progress=print
-    )
-    baseline = hotpath.load_baseline(args.baseline)
-    print()
-    if baseline is not None:
-        print(f"vs. baseline {args.baseline}:")
-        print(hotpath.format_comparison(baseline, report))
-    else:
-        print(hotpath.format_report(report))
-    if args.rpc_guard:
-        if baseline is None:
-            print(f"\nrpc guard skipped: no baseline at {args.baseline}")
-        else:
-            problem = hotpath.check_rpc_regression(
-                baseline, report, factor=args.rpc_factor
-            )
-            if problem:
-                print(f"\nprocshard_rpc regression guard FAILED:\n  {problem}")
-                return 1
-            print(
-                f"\nrpc guard passed (bytes/op within {args.rpc_factor:g}x "
-                "of baseline)"
-            )
-    if args.quick:
-        return 0
-    if args.update or baseline is None:
-        hotpath.write_baseline(report, args.baseline)
-        print(f"\nwrote baseline {args.baseline}")
     return 0
 
 
@@ -459,48 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cumulative-time entries to print with --profile (default 25)",
     )
 
-    bench = sub.add_parser(
-        "bench-hotpath",
-        help="run the hot-path micro suite and compare against the baseline",
-    )
-    bench.add_argument(
-        "--baseline",
-        default="BENCH_hotpath.json",
-        help="baseline file to compare with and/or update (default: "
-        "BENCH_hotpath.json)",
-    )
-    bench.add_argument(
-        "--update",
-        action="store_true",
-        help="write the measured numbers back as the new baseline",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="best-of-N repetitions per micro workload (default 5)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="single repetition of everything — execution smoke test only, "
-        "timings meaningless; never writes the baseline",
-    )
-    bench.add_argument(
-        "--rpc-guard",
-        action="store_true",
-        help="exit 1 if the procshard fast channel's bytes/op regressed "
-        "beyond --rpc-factor of the baseline (deterministic metric, "
-        "safe to gate CI on)",
-    )
-    bench.add_argument(
-        "--rpc-factor",
-        type=float,
-        default=1.5,
-        help="allowed bytes/op regression factor for --rpc-guard "
-        "(default 1.5)",
-    )
-
     gen = sub.add_parser("gen-workload", help="write a client trace file")
     gen.add_argument("out")
     gen.add_argument("--count", type=int, default=100)
@@ -634,7 +553,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "report": _cmd_report,
     "sweep": _cmd_sweep,
-    "bench-hotpath": _cmd_bench_hotpath,
     "gen-workload": _cmd_gen_workload,
     "serve": _cmd_serve,
     "check": _cmd_check,

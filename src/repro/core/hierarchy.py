@@ -76,10 +76,6 @@ class GroupCatalog:
         self._parent: dict[str, str] = {}
         self._children: dict[str, list[str]] = {ROOT_GROUP: []}
         self._membership: dict[int, str] = {}
-        # Reverse index: group -> ordered set of directly assigned objects
-        # (insertion-ordered dict used as a set), so members() is O(group)
-        # instead of a scan over every assigned object.
-        self._members: dict[str, dict[int, None]] = {ROOT_GROUP: {}}
         # Paths are derived data; cache them because the concurrency control
         # asks for a path on every single operation.
         self._path_cache: dict[int, tuple[str, ...]] = {}
@@ -105,7 +101,6 @@ class GroupCatalog:
         self._parent[name] = parent
         self._children[name] = []
         self._children[parent].append(name)
-        self._members[name] = {}
 
     def assign(self, object_id: int, group: str) -> None:
         """Place ``object_id`` in ``group``.
@@ -118,11 +113,7 @@ class GroupCatalog:
             raise SpecificationError(
                 f"cannot assign object {object_id}: unknown group {group!r}"
             )
-        previous = self._membership.get(object_id)
-        if previous is not None:
-            del self._members[previous][object_id]
         self._membership[object_id] = group
-        self._members[group][object_id] = None
         self._path_cache.pop(object_id, None)
         for limited in self._limited_cache.values():
             limited.pop(object_id, None)
@@ -179,13 +170,6 @@ class GroupCatalog:
         path = tuple(chain)
         self._path_cache[object_id] = path
         return path
-
-    def members(self, group: str) -> tuple[int, ...]:
-        """Object ids assigned directly to ``group``, in assignment order."""
-        try:
-            return tuple(self._members[group])
-        except KeyError:
-            raise SpecificationError(f"unknown group {group!r}") from None
 
     def limited_paths(self, levels: frozenset[str]) -> dict[int, tuple[str, ...]]:
         """The shared per-object filtered-path cache for one level set.

@@ -18,7 +18,7 @@ outcomes.  This module makes that shared vocabulary explicit:
   tuples;
 * :func:`validate_protocol_options` — the single place option/protocol
   combinations are checked, so every entry point (sim config, threaded
-  server, asyncio server, CLI) agrees on what is invalid;
+  server, non-blocking server, CLI) agrees on what is invalid;
 * :func:`create_engine` — the factory that builds the right manager (or
   a :class:`~repro.engine.sharded.ShardedEngine` over ``shards`` inner
   managers) from a protocol name.
@@ -59,7 +59,7 @@ class Engine(Protocol):
 
     Structural (duck-typed): the managers do not inherit from this class;
     they simply provide the surface.  Hosts — the DES server, the
-    threaded and asyncio TCP servers, :class:`~repro.runtime.LocalClient`
+    threaded and non-blocking TCP servers, :class:`~repro.runtime.LocalClient`
     — program against this interface only.
     """
 

@@ -111,9 +111,10 @@ class DataObject:
         older than ``timestamp`` (paper section 5.1).  When the reader is
         older than everything retained in the window — the history has
         been trimmed past it — the oldest retained version is returned as
-        the best available approximation, which can only *under*-estimate
-        the divergence; the window is sized (20) so that in practice a
-        query never outlives it.
+        the best available approximation.  Values are not monotone, so the
+        divergence measured against it can be too small or too large: an
+        under-estimate undercharges the reader's bound.  The window is
+        sized (20) so that in practice a query never outlives it.
         """
         for version in reversed(self._versions):
             if version.timestamp < timestamp:

@@ -16,7 +16,7 @@ accounting atomic across shards with one lock per transaction on its
 span processes, but it is not needed: every engine decision charges only
 the *operating* transaction's own account, and one transaction's
 operations are serialised by its client connection (the threaded server
-runs a connection on one handler thread; the asyncio server pins a
+runs a connection on one handler thread; the non-blocking server pins a
 connection to one dispatch lane).  So the canonical accounts stay in the
 parent, on the global transaction, and a copy rides along with each
 operation in three layers:

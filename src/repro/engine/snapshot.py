@@ -46,7 +46,7 @@ read; the cache never rejects.
 
 Concurrency discipline: all *mutation* (publish, pending, clear) happens
 inside the engine critical section (the threaded server's mutex, the
-asyncio server's loop, an in-process caller's own thread).  Reads outside
+non-blocking server's loop, an in-process caller's own thread).  Reads outside
 the critical section see each object through one immutable record
 fetched with a single dict lookup, so they can never observe a torn
 value/timestamp pair.  Per-group and root in-flight divergence

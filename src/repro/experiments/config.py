@@ -1,7 +1,7 @@
 """Experiment configuration: bound levels, sweeps, defaults.
 
 Section 7 of the paper fixes the study's parameters; this module encodes
-them once so the figure definitions, the benchmarks and the CLI all agree:
+them once so the figure definitions, the tests and the CLI all agree:
 
 * the epsilon levels table (high / medium / low / zero);
 * the MPL range 1–10 (ten client workstations);

@@ -207,11 +207,6 @@ class Engine:
         self._ready.append(process._step)
         return process
 
-    def spawn_all(
-        self, generators: Iterable[Generator[object, None, None]]
-    ) -> list[Process]:
-        return [self.spawn(gen) for gen in generators]
-
     # -- execution ----------------------------------------------------------------
 
     def run(self, until: float | None = None) -> float:

@@ -66,31 +66,26 @@ class TestGroupCatalog:
         assert catalog.path(1) == ("personal", ROOT_GROUP)
 
     def test_reassign_moves_object_between_member_sets(self):
-        """The reverse member index follows re-assignments exactly."""
+        """Membership follows re-assignments exactly."""
         catalog = banking_catalog()
-        assert catalog.members("div1") == (1,)
-        assert catalog.members("personal") == (4,)
+        assert catalog.group_of(1) == "div1"
+        assert catalog.group_of(4) == "personal"
         catalog.assign(1, "personal")
-        assert catalog.members("div1") == ()
-        assert catalog.members("personal") == (4, 1)
+        assert catalog.group_of(1) == "personal"
         # ...and a ledger built before the move charges the new path.
         ledger = HierarchyLedger(
             catalog, 1e9, {"personal": 100.0, "com1": 100.0}
         )
         catalog.assign(1, "div1")
-        assert catalog.members("personal") == (4,)
-        assert catalog.members("div1") == (1,)
+        assert catalog.group_of(1) == "div1"
+        assert catalog.group_of(4) == "personal"
         assert ledger.try_charge(1, 60.0).admitted
         assert ledger.usage_of("com1") == 60.0
         assert ledger.usage_of("personal") == 0.0
 
-    def test_members_of_unknown_group_rejected(self):
-        with pytest.raises(SpecificationError):
-            banking_catalog().members("ghost")
-
     def test_members_and_children(self):
         catalog = banking_catalog()
-        assert catalog.members("div1") == (1,)
+        assert catalog.group_of(1) == "div1"
         assert set(catalog.children_of("company")) == {"com1", "com2"}
         assert catalog.parent_of("div1") == "com1"
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.check import check_log
 from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog
 from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
+from repro.engine.history import HistoryLog
 from repro.engine.objects import DataObject
 from repro.engine.results import (
     CASE_LATE_READ,
@@ -18,7 +20,11 @@ from repro.engine.results import (
     Rejected,
 )
 from repro.engine.timestamps import Timestamp
-from repro.engine.transactions import TransactionKind, TransactionState
+from repro.engine.transactions import (
+    TransactionKind,
+    TransactionState,
+    TransactionStatus,
+)
 
 from .topology import TOPOLOGIES, build_engine
 
@@ -359,3 +365,70 @@ class TestStrictOrderingWaits:
         assert outcome == MustWait(writer.transaction_id)
         assert plain.import_account is None
         assert plain.imported == 0.0
+
+
+def _lost_update_history(shape: dict, bound: float, query_commits_first: bool):
+    """Updates T1 (ts 1) and T2 (ts 2) and query Q (ts 3) each read
+    ``x = 1000``; then T1 writes 1010 and commits, and T2 writes 1020 and
+    commits.  Returns the recorded log, which updates committed, and the
+    final ``x``."""
+    db = Database()
+    db.create_object(1, 1_000.0)
+    engine = build_engine(db, record_history=True, **shape)
+    bounds = TransactionBounds(import_limit=bound, export_limit=bound)
+    try:
+        t1 = engine.begin("update", bounds, timestamp=ts(1))
+        t2 = engine.begin("update", bounds, timestamp=ts(2))
+        q = engine.begin("query", bounds, timestamp=ts(3))
+        for txn in (t1, t2, q):
+            assert isinstance(engine.read(txn, 1), Granted)
+        if query_commits_first:
+            engine.commit(q)
+        committed = {}
+        for txn, value in ((t1, 1_010.0), (t2, 1_020.0)):
+            if isinstance(engine.write(txn, 1, value), Granted):
+                engine.commit(txn)
+            committed[txn] = txn.status is TransactionStatus.COMMITTED
+        log = HistoryLog.from_engine(engine)
+        final = engine.begin("query", timestamp=ts(10))
+        x = engine.read(final, 1).value
+        return log, committed[t1], committed[t2], x
+    finally:
+        close = getattr(engine, "close", None)
+        if close:
+            close()
+
+
+#: ROADMAP item 1's two counterexamples: every bound 0 with Q committed
+#: before the writes, and TIL/TEL 1e9 with Q still open.
+LOST_UPDATE_HISTORIES = {
+    "every-bound-0": (0.0, True),
+    "unbounded": (1e9, False),
+}
+
+
+class TestLostUpdate:
+    """Update ETs must stay serializable among themselves at any epsilon
+    (the paper's contribution 2), on every engine shape."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: a late write older than an update reader "
+        "is admitted as Case 3, so T2's write overwrites T1's",
+    )
+    @pytest.mark.parametrize("history", list(LOST_UPDATE_HISTORIES))
+    @pytest.mark.parametrize("shape", list(ENGINES.values()), ids=list(ENGINES))
+    def test_value_is_conserved(self, shape, history):
+        _log, t1, t2, x = _lost_update_history(
+            shape, *LOST_UPDATE_HISTORIES[history]
+        )
+        assert x == 1_000.0 + 10.0 * t1 + 20.0 * t2
+
+    @pytest.mark.parametrize("shape", list(ENGINES.values()), ids=list(ENGINES))
+    def test_checker_flags_the_zero_bound_history(self, shape):
+        log, _t1, _t2, _x = _lost_update_history(
+            shape, *LOST_UPDATE_HISTORIES["every-bound-0"]
+        )
+        kinds = {violation.kind for violation in check_log(log).violations}
+        assert "serialization-cycle" in kinds

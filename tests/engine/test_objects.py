@@ -49,7 +49,21 @@ class TestProperValue:
             obj.stage_write(t, ts(t), 1_000.0 + t)
             obj.commit_write()
         # Window retains writes 7, 8, 9; a very old reader gets write 7.
+        # Its true proper value is the initial 1000, so with values rising
+        # the fallback under-estimates the divergence (2 instead of 9).
         assert obj.proper_value_for(ts(0.5)) == 1_007.0
+        assert obj.present_value - obj.proper_value_for(ts(0.5)) == 2.0
+
+        # Values are not monotone: after 1100, 900, 1200, 1010 the window
+        # retains 900, 1200, 1010, and the fallback over-estimates the
+        # divergence (110 instead of 10 from the initial 1000).
+        swing = DataObject(7, 1_000.0, version_window=3)
+        for t, value in ((1, 1_100.0), (2, 900.0), (3, 1_200.0), (4, 1_010.0)):
+            swing.stage_write(t, ts(t), value)
+            swing.commit_write()
+        assert swing.proper_value_for(ts(0.5)) == 900.0
+        assert abs(swing.present_value - swing.proper_value_for(ts(0.5))) == 110.0
+        assert abs(swing.present_value - 1_000.0) == 10.0
 
     def test_paper_window_is_twenty(self):
         obj = DataObject(7, 0.0)

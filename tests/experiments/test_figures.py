@@ -109,3 +109,10 @@ class TestRegistry:
             "medium-epsilon",
             "high-epsilon",
         ]
+        # The section 7 values, TIL then TEL.
+        assert [(row["TIL"], row["TEL"]) for row in rows] == [
+            (0, 0),
+            (10_000, 1_000),
+            (50_000, 5_000),
+            (100_000, 10_000),
+        ]

@@ -4,7 +4,7 @@ Codec-level round trips, ``hello`` negotiation in every mixed pairing
 (binary client vs JSON-only server and vice versa), malformed binary
 input answered before disconnect, shard routing under binary framing,
 the snapshot-cache inline answer path, and byte-identical conformance
-between the threaded and asyncio servers.  The JSON wire conformance
+between the threaded and non-blocking servers.  The JSON wire conformance
 lives in ``test_conformance.py`` — everything here is the binary side.
 """
 

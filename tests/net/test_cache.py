@@ -2,8 +2,8 @@
 
 The engine-level semantics live in ``tests/engine/test_snapshot.py``;
 this module checks the wire behaviour: cached reads answered before the
-threaded server's mutex / inline in the asyncio server's
-``data_received``, the byte-level fast path's responses, the
+threaded server's mutex / inline in the non-blocking server's
+selectors loop, the byte-level fast path's responses, the
 per-transaction ordering guard, and the perf counters the bench rows
 report.
 """
@@ -163,7 +163,7 @@ class _RawClient:
 
 
 class TestAsyncByteFastPath:
-    """The asyncio server's JSON-free lane for canonical read lines."""
+    """The non-blocking server's JSON-free lane for canonical read lines."""
 
     def test_canonical_read_line_is_served_with_id_echo(self):
         handle, port, stop = _async()

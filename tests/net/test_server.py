@@ -2,7 +2,7 @@
 
 The ``server`` fixture is parameterized over both server
 implementations — every test here is part of the wire-conformance
-suite: the threaded and asyncio servers must behave identically under
+suite: the threaded and non-blocking servers must behave identically under
 the same client traffic.
 """
 

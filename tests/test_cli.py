@@ -35,10 +35,11 @@ class TestParser:
         assert command in capsys.readouterr().out
 
     def test_removed_subcommand_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench-net"])
-        assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        for command in ("bench-net", "bench-hotpath"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTable1:
@@ -94,30 +95,6 @@ class TestSweep:
         assert "perf counters:" in out
         assert "events dispatched" in out
         assert "throughput (tx/s)" in out
-
-
-class TestBenchHotpath:
-    def test_quick_mode_never_writes_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_hotpath.json"
-        code = main(["bench-hotpath", "--quick", "--baseline", str(baseline)])
-        assert code == 0
-        assert not baseline.exists()
-        out = capsys.readouterr().out
-        assert "smoke_figure" in out
-
-    def test_writes_then_compares_baseline(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_hotpath.json"
-        assert main(
-            ["bench-hotpath", "--repeats", "1", "--baseline", str(baseline)]
-        ) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-        assert main(
-            ["bench-hotpath", "--repeats", "1", "--baseline", str(baseline)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "vs. baseline" in out
-        assert "speedup" in out
 
 
 class TestGenWorkload:

@@ -1,8 +1,9 @@
-"""The perf counters, the profiler wrapper, and the hot-path suite."""
+"""The perf counters, the profiler wrapper, and the deterministic cost pins."""
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
 
@@ -12,8 +13,8 @@ from repro.core.bounds import TransactionBounds
 from repro.core.hierarchy import GroupCatalog, HierarchyLedger
 from repro.engine.api import create_engine
 from repro.engine.database import Database
+from repro.engine.procshard import process_sharding_unavailable
 from repro.engine.results import Granted
-from repro.experiments import hotpath
 from repro.net.protocol import BINARY_CODEC, JSON_CODEC
 from repro.net.requests import Conversation
 from repro.perf import PerfCounters, counters, profile_call
@@ -94,60 +95,68 @@ class TestProfileCall:
             raise AssertionError("expected ValueError")
 
 
-class TestHotpathSuite:
-    def test_quick_suite_runs_and_reports(self):
-        report = hotpath.run_suite(repeats=1, smoke_repeats=1)
-        assert set(report["micro"]) == {b.name for b in hotpath.MICRO_BENCHES}
-        for entry in report["micro"].values():
-            assert entry["ops_per_s"] > 0
-        assert report["smoke"]["wall_s"] > 0
-        text = hotpath.format_report(report)
-        assert "smoke_figure" in text
+def _drive_rpc_transaction(engine, rng: random.Random, objects: int, ops: int):
+    """One seeded client transaction; a wait or a rejection aborts it."""
+    update = rng.random() < 0.5
+    if update:
+        txn = engine.begin("update", TransactionBounds(export_limit=1e9))
+    else:
+        txn = engine.begin("query", TransactionBounds(import_limit=1e9))
+    for _ in range(ops):
+        object_id = rng.randrange(objects)
+        if update and rng.random() < 0.5:
+            outcome = engine.write(txn, object_id, rng.random() * 100.0)
+        else:
+            outcome = engine.read(txn, object_id)
+        if not isinstance(outcome, Granted):
+            if txn.is_active:
+                engine.abort(txn, "bench-blocked")
+            return
+    if txn.is_active:
+        engine.commit(txn)
 
-    def test_baseline_round_trip_and_comparison(self, tmp_path):
-        report = hotpath.run_suite(repeats=1, smoke_repeats=1)
-        path = tmp_path / "BENCH_hotpath.json"
-        hotpath.write_baseline(report, path)
-        loaded = hotpath.load_baseline(path)
-        assert loaded == report
-        comparison = hotpath.format_comparison(loaded, report)
-        assert "1.00x" in comparison
 
+class TestShardChannel:
     def test_shard_channel_traffic_is_pinned(self):
-        """The seeded sequential phase of ``procshard_rpc`` is a bit-exact
-        oracle for what crosses the parent↔worker socketpair: refactors
-        of the shard composite must not move a byte of it.
+        """A seeded sequential trace is a bit-exact oracle for what
+        crosses the parent↔worker socketpair: refactors of the shard
+        composite must not move a byte of it.
+
+        One client runs 8 transactions of 100 operations (a seed-7 mix of
+        export-side updates and import-side queries) over 256 objects on
+        4 forced worker shards.
 
         Dropping update ETs' import flag cut 74,457 / 37,075 bytes to
         72,673 / 36,076 (134.1 to 130.7 per op) with the same round trips
         and sync mix: the sibling descriptor lost its import-flag key,
         and every sync-in and sync-out lost the second-account slot
         beside the one account delta or dump."""
-        figure = hotpath.run_procshard_rpc(
-            hotpath.ProcshardRpcConfig(threads=0)  # sequential phase only
-        )
-        if figure is None:
-            return  # no fork on this platform
-        assert figure["bytes_per_op"] == 130.7
-        assert figure["round_trips_per_txn"] == 104.0
+        if process_sharding_unavailable() == "no-fork":
+            pytest.skip("no fork on this platform")
+        objects, transactions = 256, 8
+        database = Database()
+        database.create_many((object_id, 100.0) for object_id in range(objects))
+        engine = create_engine(database, "esr", shards=4, processes="force")
+        try:
+            before = counters.snapshot()
+            rng = random.Random(7)
+            for _ in range(transactions):
+                _drive_rpc_transaction(engine, rng, objects, 100)
+            after = counters.snapshot()
+        finally:
+            engine.close()
+        rpc = {
+            key: after[key] - before[key] for key in after if key.startswith("rpc_")
+        }
+        sent, received = rpc["rpc_bytes_sent"], rpc["rpc_bytes_received"]
+        assert round((sent + received) / rpc["rpc_ops"], 1) == 130.7
+        assert round(rpc["rpc_round_trips"] / transactions, 2) == 104.0
         assert (
-            figure["sync_full"],
-            figure["sync_delta"],
-            figure["sync_none"],
+            rpc["rpc_sync_full"],
+            rpc["rpc_sync_delta"],
+            rpc["rpc_sync_none"],
         ) == (32, 264, 504)
-        assert (figure["rpc_bytes_sent"], figure["rpc_bytes_received"]) == (
-            72673,
-            36076,
-        )
-
-    def test_missing_or_bad_baseline_is_none(self, tmp_path):
-        assert hotpath.load_baseline(tmp_path / "nope.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json", encoding="utf-8")
-        assert hotpath.load_baseline(bad) is None
-        wrong_schema = tmp_path / "old.json"
-        wrong_schema.write_text('{"schema": 0}', encoding="utf-8")
-        assert hotpath.load_baseline(wrong_schema) is None
+        assert (sent, received) == (72673, 36076)
 
 
 class TestHistoryRetention:
@@ -302,7 +311,8 @@ class TestServiceStationEvents:
             txn = manager.begin("query", TransactionBounds(100.0, 0.0))
             outcomes.append((yield from server.perform_read(txn, 1)))
 
-        engine.spawn_all(reader() for _ in range(readers))
+        for _ in range(readers):
+            engine.spawn(reader())
         engine.run()
         assert [type(outcome) for outcome in outcomes] == [Granted] * readers
         assert engine.now == 2.0 * readers
