@@ -95,12 +95,9 @@ class InconsistencyAccount:
         #: semantics (see :meth:`install_lock`).
         self._lock = None
         # Incremental change tracking (see track_changes): off by
-        # default, so the hot admission path pays one predicate check.
+        # default, so the hot admission path pays one predicate check and
+        # an account that never tracks never allocates the dirty sets.
         self._track = False
-        self._dirty_usage = False
-        self._dirty_ops = False
-        self._dirty_objects: set[int] = set()
-        self._dirty_ranges: set[int] = set()
 
     def install_lock(self, lock) -> None:
         """Serialise :meth:`admit` / :meth:`admit_bounded` /
@@ -206,20 +203,20 @@ class InconsistencyAccount:
 
     def observe_value(self, object_id: int, value: float) -> None:
         """Record a value viewed for ``object_id`` (min/max tracking)."""
-        if self._lock is not None:
-            with self._lock:
-                self._observe_value(object_id, value)
-            return
-        self._observe_value(object_id, value)
-
-    def _observe_value(self, object_id: int, value: float) -> None:
-        existing = self._ranges.get(object_id)
-        if existing is None:
-            self._ranges[object_id] = ValueRange(value)
-            if self._track:
+        lock = self._lock
+        if lock is not None:
+            lock.acquire()
+        try:
+            existing = self._ranges.get(object_id)
+            if existing is None:
+                self._ranges[object_id] = ValueRange(value)
+                if self._track:
+                    self._dirty_ranges.add(object_id)
+            elif existing.observe(value) and self._track:
                 self._dirty_ranges.add(object_id)
-        elif existing.observe(value) and self._track:
-            self._dirty_ranges.add(object_id)
+        finally:
+            if lock is not None:
+                lock.release()
 
     def value_range(self, object_id: int) -> ValueRange | None:
         return self._ranges.get(object_id)
@@ -299,6 +296,8 @@ class InconsistencyAccount:
         O(changed entries) instead of a full state dump and diff.
         """
         self._track = True
+        self._dirty_objects: set[int] = set()
+        self._dirty_ranges: set[int] = set()
         self._clear_dirty()
 
     def _clear_dirty(self) -> None:

@@ -40,6 +40,8 @@ UNBOUNDED = math.inf
 
 
 def _validate_limit(name: str, value: float) -> float:
+    if type(value) is float and value >= 0:
+        return value  # also rules out NaN, which compares False
     value = float(value)
     if math.isnan(value) or value < 0:
         raise SpecificationError(f"{name} must be >= 0, got {value!r}")

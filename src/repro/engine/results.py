@@ -20,9 +20,11 @@ Every Read or Write submitted to the engine resolves to exactly one of:
     inconsistency bound would be violated).  The transaction must abort;
     clients resubmit with a fresh timestamp.
 
-These are plain frozen dataclasses rather than exceptions because the
-common cases (wait, reject-and-restart) are normal control flow in a
-timestamp-ordered system, not errors.
+These are plain dataclasses rather than exceptions because the common
+cases (wait, reject-and-restart) are normal control flow in a
+timestamp-ordered system, not errors.  They are slotted, not frozen (a
+frozen one pays an ``object.__setattr__`` per field, and a commit builds
+a dozen); nothing mutates an outcome once the engine returns it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Granted:
     """The operation executed successfully."""
 
@@ -72,14 +74,14 @@ class Granted:
         return self.esr_case is not None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MustWait:
     """Strict ordering: wait for ``blocking_transaction`` to finish."""
 
     blocking_transaction: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Rejected:
     """The operation cannot execute; the transaction must abort."""
 

@@ -219,15 +219,8 @@ class _SharedWaitRegistry(WaitRegistry):
 
     def fire(self, completed_transaction: int) -> int:
         with self._lock:
-            callbacks = self._waiters.pop(completed_transaction, [])
-            self._waiting_on.pop(completed_transaction, None)
-            stale = [
-                waiter
-                for waiter, blocker in self._waiting_on.items()
-                if blocker == completed_transaction
-            ]
-            for waiter in stale:
-                del self._waiting_on[waiter]
+            callbacks = self._waiters.pop(completed_transaction, ())
+            self._drop_edges(completed_transaction)
             done = [
                 key
                 for key in self._self_fires

@@ -51,9 +51,9 @@ the critical section see each object through one immutable record
 fetched with a single dict lookup, so they can never observe a torn
 value/timestamp pair.  Per-group and root in-flight divergence
 aggregates are maintained incrementally along the catalog path on every
-pending-delta change; they are observability (and can be cross-checked
-against a :meth:`~repro.core.hierarchy.GroupCatalog.members` walk of the
-reverse index) — admission itself uses the per-object record.
+pending-delta change; they are observability (a group's aggregate is
+the sum of the pending deltas of the objects whose catalog path holds
+it) — admission itself uses the per-object record.
 """
 
 from __future__ import annotations

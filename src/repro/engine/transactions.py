@@ -56,11 +56,14 @@ class TransactionState:
         self.timestamp = timestamp
         self.bounds = bounds
         self.status = TransactionStatus.ACTIVE
+        #: The kind as two flags, read on every operation.
+        self.is_query = kind is TransactionKind.QUERY
+        self.is_update = not self.is_query
         #: Per-object OIL/OEL overrides declared at BEGIN (paper 3.2.2: the
         #: server-side object limits "could be overridden by explicitly
         #: specifying the object limits in the specification stage").
         self.object_limits: dict[int, float] = dict(object_limits or {})
-        if kind is TransactionKind.QUERY:
+        if self.is_query:
             self.account = InconsistencyAccount(
                 Direction.IMPORT, catalog, bounds.import_limit, group_limits
             )
@@ -85,14 +88,6 @@ class TransactionState:
         self.abort_reason: str | None = None
 
     # -- guards ---------------------------------------------------------------
-
-    @property
-    def is_query(self) -> bool:
-        return self.kind is TransactionKind.QUERY
-
-    @property
-    def is_update(self) -> bool:
-        return self.kind is TransactionKind.UPDATE
 
     @property
     def is_active(self) -> bool:
