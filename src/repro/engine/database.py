@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.bounds import ObjectBounds
 from repro.core.hierarchy import GroupCatalog
@@ -177,6 +177,15 @@ class Database:
 
     def objects(self) -> Iterator[DataObject]:
         return iter(self._objects.values())
+
+    def by_id(self) -> Mapping[int, DataObject]:
+        """The live id -> object mapping, read-only by contract.
+
+        The transaction manager holds it to look each operation's object
+        up without a call; :meth:`get` is the lookup that raises
+        :class:`UnknownObjectError` for an unknown id.
+        """
+        return self._objects
 
     def committed_snapshot(self) -> dict[int, float]:
         """``{id: committed value}`` — useful for tests and examples."""

@@ -113,7 +113,9 @@ class TestTimestampTies:
             bounds=TransactionBounds(import_limit=1e9),
             catalog=GroupCatalog(),
         )
-        outcome = esr_read_decision(obj, reader)
+        outcome = esr_read_decision(
+            obj, reader, obj.proper_value_for(reader.timestamp)
+        )
         # Site 1 < site 2, so the reader is (deterministically) older and
         # its read is late — admitted through ESR with the divergence.
         assert isinstance(outcome, Granted)

@@ -10,6 +10,7 @@ from repro.core.hierarchy import GroupCatalog
 from repro.engine.database import Database
 from repro.engine.esr import esr_read_decision, esr_write_decision
 from repro.engine.history import HistoryLog
+from repro.engine.manager import TransactionManager
 from repro.engine.objects import DataObject
 from repro.engine.results import (
     CASE_LATE_READ,
@@ -45,6 +46,12 @@ def make_txn(
     )
 
 
+def query_read(obj: DataObject, query: TransactionState):
+    """The ESR read decision, given the query's proper value as the
+    manager computes it."""
+    return esr_read_decision(obj, query, obj.proper_value_for(query.timestamp))
+
+
 def committed_write(obj: DataObject, writer: int, when: float, value: float):
     obj.stage_write(writer, ts(when), value)
     obj.commit_write()
@@ -57,7 +64,7 @@ class TestCase1LateRead:
         obj = DataObject(1, 5_000.0)
         committed_write(obj, 9, 20, 5_400.0)
         query = make_txn("query", 10, til=1_000.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         # proper value for ts=10 is the initial 5000, present is 5400.
         assert outcome == Granted(
             value=5_400.0, inconsistency=400.0, esr_case=CASE_LATE_READ
@@ -68,7 +75,7 @@ class TestCase1LateRead:
         obj = DataObject(1, 5_000.0)
         committed_write(obj, 9, 20, 5_400.0)
         query = make_txn("query", 10, til=300.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
         assert outcome.reason == "bound-violation"
         assert query.account.total == 0.0
@@ -79,7 +86,7 @@ class TestCase1LateRead:
         obj = DataObject(1, 5_000.0, ObjectBounds(import_limit=100.0))
         committed_write(obj, 9, 20, 5_400.0)
         query = make_txn("query", 10, til=1_000_000.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
         assert outcome.violated_level == "object"
 
@@ -90,14 +97,14 @@ class TestCase1LateRead:
         committed_write(obj, 9, 20, 5_400.0)
         query = make_txn("query", 10, til=1_000_000.0)
         query.object_limits[1] = 500.0  # override the server-side OIL
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Granted)
 
     def test_zero_divergence_is_not_inconsistent(self):
         obj = DataObject(1, 5_000.0)
         committed_write(obj, 9, 20, 5_000.0)  # same value rewritten
         query = make_txn("query", 10, til=0.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Granted)
         assert outcome.esr_case is None
         assert outcome.inconsistency == 0.0
@@ -107,7 +114,7 @@ class TestCase1LateRead:
         committed_write(obj, 2, 5, 2_000.0)
         committed_write(obj, 3, 20, 9_000.0)
         query = make_txn("query", 10, til=100_000.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         # proper for ts=10 is the write at ts=5 (2000), present is 9000.
         assert outcome.inconsistency == 7_000.0
 
@@ -129,7 +136,7 @@ class TestCase1RejectionDetail:
 
     def test_bound_violation_detail_names_the_level(self):
         obj, query = self._late_read_setup()
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
         assert outcome.reason == "bound-violation"
         assert outcome.violated_level is not None
@@ -145,7 +152,7 @@ class TestCase1RejectionDetail:
             "admit",
             lambda *args, **kwargs: ChargeOutcome(admitted=False),
         )
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
         assert outcome.reason == "late-read"
         assert outcome.violated_level is None
@@ -161,7 +168,7 @@ class TestCase2ReadUncommitted:
         obj = DataObject(1, 5_000.0)
         obj.stage_write(9, ts(5), 5_300.0)
         query = make_txn("query", 10, til=1_000.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert outcome == Granted(
             value=5_300.0, inconsistency=300.0, esr_case=CASE_READ_UNCOMMITTED
         )
@@ -170,14 +177,14 @@ class TestCase2ReadUncommitted:
         obj = DataObject(1, 5_000.0)
         obj.stage_write(9, ts(5), 9_999.0)
         query = make_txn("query", 10, til=10.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert outcome == MustWait(blocking_transaction=9)
 
     def test_bound_violation_on_late_read_rejects(self):
         obj = DataObject(1, 5_000.0)
         obj.stage_write(9, ts(20), 9_999.0)
         query = make_txn("query", 10, til=10.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
 
     def test_proper_value_excludes_the_pending_write(self):
@@ -185,22 +192,29 @@ class TestCase2ReadUncommitted:
         committed_write(obj, 2, 5, 6_000.0)
         obj.stage_write(9, ts(8), 8_000.0)
         query = make_txn("query", 10, til=100_000.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         # proper = committed 6000 (ts 5 < 10); present = staged 8000.
         assert outcome.inconsistency == 2_000.0
 
     def test_update_reads_are_never_relaxed(self):
-        obj = DataObject(1, 5_000.0)
-        obj.stage_write(9, ts(5), 5_300.0)
-        update = make_txn("update", 10, tel=1_000_000.0, txn_id=2)
-        outcome = esr_read_decision(obj, update)
-        assert outcome == MustWait(blocking_transaction=9)
+        db = Database()
+        db.create_object(1, 5_000.0)
+        manager = TransactionManager(db, "esr")
+        writer = manager.begin("update", timestamp=ts(5))
+        assert manager.write(writer, 1, 5_300.0) == Granted()
+        update = manager.begin(
+            "update", TransactionBounds(export_limit=1_000_000.0), timestamp=ts(10)
+        )
+        outcome = manager.read(update, 1)
+        assert outcome == MustWait(blocking_transaction=writer.transaction_id)
 
     def test_reading_own_write(self):
-        obj = DataObject(1, 5_000.0)
-        obj.stage_write(3, ts(10), 7_777.0)
-        update = make_txn("update", 10, txn_id=3)
-        assert esr_read_decision(obj, update) == Granted(value=7_777.0)
+        db = Database()
+        db.create_object(1, 5_000.0)
+        manager = TransactionManager(db, "esr")
+        update = manager.begin("update", timestamp=ts(10))
+        assert manager.write(update, 1, 7_777.0) == Granted()
+        assert manager.read(update, 1) == Granted(value=7_777.0)
 
 
 class TestCase2RejectionDetail:
@@ -216,7 +230,7 @@ class TestCase2RejectionDetail:
         committed_write(obj, 2, 15, 7_000.0)
         obj.stage_write(9, ts(20), 8_000.0)
         query = make_txn("query", 10, til=10.0)
-        outcome = esr_read_decision(obj, query)
+        outcome = query_read(obj, query)
         assert isinstance(outcome, Rejected)
         return outcome
 
